@@ -18,7 +18,10 @@
 //!
 //! Linkage pipelines are served read-only by [`LinkServer`], whose
 //! resolve verb is **side-aware** (`"side":"left"|"right"`) and backed
-//! by [`zeroer_stream::LinkReadHandle`].
+//! by [`zeroer_stream::LinkReadHandle`]. Both servers run one accept
+//! loop and one connection loop; a connection's backend — a dedup
+//! read/write handle pair, or a linkage read handle — decides which
+//! verbs it answers.
 //!
 //! Everything is `std` + workspace crates: sockets are `std::net`, JSON
 //! is the workspace's own reader/writer pair. See the crate README for

@@ -1,39 +1,27 @@
 //! A read-only TCP server over a [`LinkPipeline`]'s pinned read state —
-//! the wire counterpart of [`zeroer_stream::LinkReadHandle`].
+//! the wire counterpart of [`zeroer_stream::LinkReadHandle`], running
+//! the same accept and connection loops as the dedup [`crate::Server`].
 //!
-//! Linkage resolution was previously in-process only: the serve layer
-//! wired dedup pipelines exclusively, even though `LinkReadHandle`
-//! already existed. This server closes that gap with a **side-aware**
-//! resolve verb: `{"op":"resolve","side":"left"|"right","values":[…]}`
-//! probes the *opposite* side's index and scores cross candidates with
-//! the frozen cross model, exactly like [`LinkPipeline::ingest`] minus
-//! the insertion — responses are bit-identical (`f64::to_bits`) to
-//! calling [`zeroer_stream::LinkReadHandle::resolve`] in-process.
+//! Its resolve verb is **side-aware**:
+//! `{"op":"resolve","side":"left"|"right","values":[…]}` probes the
+//! *opposite* side's index and scores cross candidates with the frozen
+//! cross model, exactly like [`LinkPipeline::ingest`] minus the
+//! insertion — responses are bit-identical (`f64::to_bits`) to calling
+//! [`zeroer_stream::LinkReadHandle::resolve`] in-process.
 //!
 //! The view is pinned once at [`LinkServer::bind`] and never republished
-//! (there is no linkage write path over the wire yet — an admission
-//! queue for side-tagged ingest slots in next to `SplitPipeline` when
-//! that grows). Supported ops: `resolve` (side required), `admin ping`,
-//! `admin shutdown`. Everything else answers `{"ok":false,…}`.
+//! (there is no linkage write path over the wire). Supported ops:
+//! `resolve` (side required), `admin ping`, `admin shutdown`. Everything
+//! else answers `{"ok":false,…}`.
 
-use crate::protocol::{error_response, read_frame, write_frame};
-use crate::server::{parse_values, render_resolution, ServeMeters};
-use std::io::BufReader;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use zeroer_core::json::Json;
-use zeroer_obs::json::Obj;
-use zeroer_obs::Stopwatch;
-use zeroer_stream::{LinkPipeline, LinkReadHandle, Side};
-use zeroer_tabular::Record;
+use crate::server::{Backend, Listener};
+use std::net::SocketAddr;
+use zeroer_stream::{LinkPipeline, LinkReadHandle};
 
 /// A bound-but-not-yet-serving linkage resolution server.
 pub struct LinkServer {
-    listener: TcpListener,
+    front: Listener,
     handle: LinkReadHandle,
-    meters: Option<ServeMeters>,
-    stop: Arc<AtomicBool>,
 }
 
 impl LinkServer {
@@ -46,13 +34,9 @@ impl LinkServer {
     /// # Errors
     /// Fails when the address cannot be bound.
     pub fn bind(pipeline: &LinkPipeline, addr: &str) -> std::io::Result<LinkServer> {
-        let meters = ServeMeters::from_flag(pipeline.options().metrics);
-        let listener = TcpListener::bind(addr)?;
         Ok(LinkServer {
-            listener,
+            front: Listener::bind(addr, pipeline.options().metrics)?,
             handle: pipeline.pin_read_handle(),
-            meters,
-            stop: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -62,174 +46,12 @@ impl LinkServer {
     /// Panics if the OS cannot report the local address of a freshly
     /// bound listener (which indicates a broken socket layer).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener
-            .local_addr()
-            .expect("a bound listener reports its address")
+        self.front.local_addr()
     }
 
     /// Serves until an admin `shutdown` request arrives, then drains:
     /// open connections are shut down and handler threads joined.
     pub fn run(self) {
-        let addr = self.local_addr();
-        let mut handlers = Vec::new();
-        let open: Arc<std::sync::Mutex<Vec<TcpStream>>> =
-            Arc::new(std::sync::Mutex::new(Vec::new()));
-        for incoming in self.listener.incoming() {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match incoming {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let _ = stream.set_nodelay(true);
-            if let Ok(clone) = stream.try_clone() {
-                open.lock().unwrap_or_else(|e| e.into_inner()).push(clone);
-            }
-            let conn = LinkConnection {
-                reads: self.handle.clone(),
-                meters: self.meters,
-                stop: Arc::clone(&self.stop),
-                poke: addr,
-            };
-            handlers.push(std::thread::spawn(move || conn.serve(stream)));
-        }
-        for s in open.lock().unwrap_or_else(|e| e.into_inner()).iter() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Per-connection state: a private clone of the pinned read handle.
-struct LinkConnection {
-    reads: LinkReadHandle,
-    meters: Option<ServeMeters>,
-    stop: Arc<AtomicBool>,
-    poke: SocketAddr,
-}
-
-impl LinkConnection {
-    fn serve(mut self, stream: TcpStream) {
-        if let Some(m) = self.meters {
-            m.connections.incr();
-        }
-        let mut reader = BufReader::new(match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        });
-        let mut writer = stream;
-        loop {
-            let request = match read_frame(&mut reader) {
-                Ok(Some(text)) => text,
-                Ok(None) | Err(_) => return,
-            };
-            let (response, stopping) = self.handle(&request);
-            if write_frame(&mut writer, &response).is_err() {
-                return;
-            }
-            if stopping {
-                self.stop.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(self.poke);
-                return;
-            }
-        }
-    }
-
-    fn handle(&mut self, request: &str) -> (String, bool) {
-        if let Some(m) = self.meters {
-            m.requests.incr();
-        }
-        let parsed = match Json::parse(request) {
-            Ok(v) => v,
-            Err(e) => return (self.fail(format!("malformed request JSON: {e}")), false),
-        };
-        let op = match parsed.get("op").and_then(Json::as_str) {
-            Some(op) => op,
-            None => return (self.fail("request carries no \"op\"".into()), false),
-        };
-        let sw = Stopwatch::new(self.meters.is_some());
-        match op {
-            "resolve" => {
-                let out = self.resolve(&parsed);
-                if let Some(m) = self.meters {
-                    sw.total(m.resolve);
-                }
-                (out, false)
-            }
-            "admin" => {
-                let (out, stopping) = self.admin(&parsed);
-                if let Some(m) = self.meters {
-                    sw.total(m.admin);
-                }
-                (out, stopping)
-            }
-            "ingest" => (
-                self.fail("linkage serving is read-only; ingest on the owning pipeline".into()),
-                false,
-            ),
-            other => (self.fail(format!("unknown op {other:?}")), false),
-        }
-    }
-
-    fn fail(&self, message: String) -> String {
-        if let Some(m) = self.meters {
-            m.errors.incr();
-        }
-        error_response(&message)
-    }
-
-    fn resolve(&mut self, request: &Json) -> String {
-        let side = match request.get("side").and_then(Json::as_str) {
-            Some("left") => Side::Left,
-            Some("right") => Side::Right,
-            Some(other) => {
-                return self.fail(format!("side must be \"left\" or \"right\", got {other:?}"))
-            }
-            None => {
-                return self
-                    .fail("linkage resolve requires a \"side\" (\"left\" or \"right\")".into())
-            }
-        };
-        let values = match parse_values(request.get("values")) {
-            Ok(v) => v,
-            Err(e) => return self.fail(e),
-        };
-        if values.len() != self.reads.arity() {
-            return self.fail(format!(
-                "record arity {} does not match schema arity {}",
-                values.len(),
-                self.reads.arity()
-            ));
-        }
-        let out = self.reads.resolve(&Record::new(0, values), side);
-        render_resolution(&out)
-    }
-
-    fn admin(&mut self, request: &Json) -> (String, bool) {
-        let cmd = match request.get("cmd").and_then(Json::as_str) {
-            Some(cmd) => cmd,
-            None => return (self.fail("admin request carries no \"cmd\"".into()), false),
-        };
-        match cmd {
-            "ping" => {
-                let mut o = Obj::new();
-                o.bool("ok", true);
-                o.bool("pong", true);
-                (o.finish(), false)
-            }
-            "shutdown" => {
-                let mut o = Obj::new();
-                o.bool("ok", true);
-                o.bool("stopping", true);
-                (o.finish(), true)
-            }
-            other => (
-                self.fail(format!("unknown linkage admin cmd {other:?}")),
-                false,
-            ),
-        }
+        self.front.run(|| Backend::Link(self.handle.clone()));
     }
 }

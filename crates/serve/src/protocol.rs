@@ -16,10 +16,13 @@
 //! | ingest  | `{"op":"ingest","records":[{"id":7,"values":[...]}, …]}` |
 //! | admin   | `{"op":"admin","cmd":"ping"\|"stats"\|"compact"\|"refresh"\|"snapshot"\|"shutdown"}` |
 //!
+//! Both servers speak this one protocol over the same connection loop.
 //! `side` is required on a [`crate::LinkServer`] (the record is blocked
-//! against the *opposite* side's index) and rejected by a dedup server;
-//! `admin refresh` re-fits the model over the writer's live records and
-//! swaps the serving snapshot, answering
+//! against the *opposite* side's index) and rejected by a dedup
+//! [`crate::Server`]. A linkage server is read-only: it answers
+//! `resolve`, `admin ping` and `admin shutdown`, and fails `ingest` and
+//! every other admin verb. `admin refresh` re-fits the model over the
+//! writer's live records and swaps the serving snapshot, answering
 //! `{"ok":true,"records":N,"pairs":P,"em_iterations":I,"divergence":D,"generation":G}`.
 //!
 //! `values` entries preserve the [`zeroer_tabular::Value`] variant:

@@ -1,6 +1,8 @@
-//! The TCP server: one accept loop, one handler thread per connection,
-//! every connection holding its own epoch-pinned [`ReadHandle`] plus a
-//! clone of the shared [`WriteHandle`].
+//! The TCP servers: one accept loop, one handler thread per connection,
+//! shared by the dedup [`Server`] and the read-only
+//! [`crate::LinkServer`]. A dedup connection holds its own epoch-pinned
+//! [`ReadHandle`] plus a clone of the shared [`WriteHandle`]; a linkage
+//! connection holds a clone of the server's pinned [`LinkReadHandle`].
 //!
 //! Resolve requests refresh the connection's read handle (an `Arc`
 //! swap) and answer entirely on the read path — they never enter the
@@ -22,22 +24,24 @@ use std::sync::Arc;
 use zeroer_core::json::Json;
 use zeroer_obs::json::{Arr, Obj};
 use zeroer_obs::{Counter, Histogram, Stopwatch};
-use zeroer_stream::{ReadHandle, ResolveOutcome, SplitPipeline, StreamPipeline, WriteHandle};
+use zeroer_stream::{
+    LinkReadHandle, ReadHandle, ResolveOutcome, Side, SplitPipeline, StreamPipeline, WriteHandle,
+};
 use zeroer_tabular::{Record, Value};
 
 /// The `serve.*` metric handles, resolved once per server.
 #[derive(Clone, Copy)]
-pub(crate) struct ServeMeters {
-    pub(crate) connections: &'static Counter,
-    pub(crate) requests: &'static Counter,
-    pub(crate) errors: &'static Counter,
-    pub(crate) resolve: &'static Histogram,
+struct ServeMeters {
+    connections: &'static Counter,
+    requests: &'static Counter,
+    errors: &'static Counter,
+    resolve: &'static Histogram,
     ingest: &'static Histogram,
-    pub(crate) admin: &'static Histogram,
+    admin: &'static Histogram,
 }
 
 impl ServeMeters {
-    pub(crate) fn from_flag(on: bool) -> Option<Self> {
+    fn from_flag(on: bool) -> Option<Self> {
         on.then(|| ServeMeters {
             connections: zeroer_obs::counter("serve.connections"),
             requests: zeroer_obs::counter("serve.requests"),
@@ -49,53 +53,44 @@ impl ServeMeters {
     }
 }
 
-/// A bound-but-not-yet-serving resolution server over a split
-/// [`StreamPipeline`].
-pub struct Server {
+/// What a connection serves: a dedup pipeline's read and write halves,
+/// or a linkage pipeline's pinned read state (read-only, side-aware).
+pub(crate) enum Backend {
+    Dedup {
+        reads: ReadHandle,
+        writes: WriteHandle,
+    },
+    Link(LinkReadHandle),
+}
+
+/// A bound listener and the accept loop both servers run.
+pub(crate) struct Listener {
     listener: TcpListener,
-    split: SplitPipeline,
     meters: Option<ServeMeters>,
     stop: Arc<AtomicBool>,
 }
 
-impl Server {
-    /// Splits `pipeline` into its read/write halves (ingest
-    /// micro-batches applied with `writer_threads` workers) and binds
-    /// `addr` (e.g. `127.0.0.1:0` for an ephemeral port).
-    ///
-    /// # Errors
-    /// Fails when the address cannot be bound.
-    pub fn bind(
-        pipeline: StreamPipeline,
-        addr: &str,
-        writer_threads: usize,
-    ) -> std::io::Result<Server> {
-        let meters = ServeMeters::from_flag(pipeline.options().metrics);
-        let listener = TcpListener::bind(addr)?;
-        Ok(Server {
-            listener,
-            split: SplitPipeline::with_threads(pipeline, writer_threads),
+impl Listener {
+    /// Binds `addr`, recording `serve.*` metrics when `metrics` is on.
+    pub(crate) fn bind(addr: &str, metrics: bool) -> std::io::Result<Self> {
+        let meters = ServeMeters::from_flag(metrics);
+        Ok(Listener {
+            listener: TcpListener::bind(addr)?,
             meters,
             stop: Arc::new(AtomicBool::new(false)),
         })
     }
 
-    /// The bound address (the real port when bound with port 0).
-    ///
-    /// # Panics
-    /// Panics if the OS cannot report the local address of a freshly
-    /// bound listener (which indicates a broken socket layer).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.listener
             .local_addr()
             .expect("a bound listener reports its address")
     }
 
-    /// Serves until an admin `shutdown` request arrives, then drains:
-    /// open connections are shut down, handler threads joined, the
-    /// admission queue closed and drained, and the pipeline — including
-    /// everything ingested over the wire — handed back.
-    pub fn run(self) -> StreamPipeline {
+    /// Accepts connections, each served on its own thread by a fresh
+    /// `backend()`, until an admin `shutdown` request arrives; then shuts
+    /// down open connections and joins their handler threads.
+    pub(crate) fn run(&self, mut backend: impl FnMut() -> Backend) {
         let addr = self.local_addr();
         let mut handlers = Vec::new();
         // Clones of accepted sockets, kept so shutdown can unblock
@@ -117,8 +112,7 @@ impl Server {
                 open.lock().unwrap_or_else(|e| e.into_inner()).push(clone);
             }
             let conn = Connection {
-                reads: self.split.read_handle(),
-                writes: self.split.write_handle(),
+                backend: backend(),
                 meters: self.meters,
                 stop: Arc::clone(&self.stop),
                 poke: addr,
@@ -131,14 +125,59 @@ impl Server {
         for h in handlers {
             let _ = h.join();
         }
+    }
+}
+
+/// A bound-but-not-yet-serving resolution server over a split
+/// [`StreamPipeline`].
+pub struct Server {
+    front: Listener,
+    split: SplitPipeline,
+}
+
+impl Server {
+    /// Splits `pipeline` into its read/write halves (ingest
+    /// micro-batches applied with `writer_threads` workers) and binds
+    /// `addr` (e.g. `127.0.0.1:0` for an ephemeral port).
+    ///
+    /// # Errors
+    /// Fails when the address cannot be bound.
+    pub fn bind(
+        pipeline: StreamPipeline,
+        addr: &str,
+        writer_threads: usize,
+    ) -> std::io::Result<Server> {
+        Ok(Server {
+            front: Listener::bind(addr, pipeline.options().metrics)?,
+            split: SplitPipeline::with_threads(pipeline, writer_threads),
+        })
+    }
+
+    /// The bound address (the real port when bound with port 0).
+    ///
+    /// # Panics
+    /// Panics if the OS cannot report the local address of a freshly
+    /// bound listener (which indicates a broken socket layer).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.front.local_addr()
+    }
+
+    /// Serves until an admin `shutdown` request arrives, then drains:
+    /// open connections are shut down, handler threads joined, the
+    /// admission queue closed and drained, and the pipeline — including
+    /// everything ingested over the wire — handed back.
+    pub fn run(self) -> StreamPipeline {
+        self.front.run(|| Backend::Dedup {
+            reads: self.split.read_handle(),
+            writes: self.split.write_handle(),
+        });
         self.split.shutdown()
     }
 }
 
-/// Per-connection state: a private read handle, a shared write handle.
+/// Per-connection state: its backend handles and the server's stop flag.
 struct Connection {
-    reads: ReadHandle,
-    writes: WriteHandle,
+    backend: Backend,
     meters: Option<ServeMeters>,
     stop: Arc<AtomicBool>,
     poke: SocketAddr,
@@ -189,29 +228,33 @@ impl Connection {
             None => return (self.fail("request carries no \"op\"".into()), false),
         };
         let sw = Stopwatch::new(self.meters.is_some());
-        match op {
-            "resolve" => {
+        match (op, &self.backend) {
+            ("resolve", _) => {
                 let out = self.resolve(&parsed);
                 if let Some(m) = self.meters {
                     sw.total(m.resolve);
                 }
                 (out, false)
             }
-            "ingest" => {
-                let out = self.ingest(&parsed);
+            ("ingest", Backend::Dedup { writes, .. }) => {
+                let out = self.ingest(writes, &parsed);
                 if let Some(m) = self.meters {
                     sw.total(m.ingest);
                 }
                 (out, false)
             }
-            "admin" => {
+            ("ingest", Backend::Link(_)) => (
+                self.fail("linkage serving is read-only; ingest on the owning pipeline".into()),
+                false,
+            ),
+            ("admin", _) => {
                 let (out, stopping) = self.admin(&parsed);
                 if let Some(m) = self.meters {
                     sw.total(m.admin);
                 }
                 (out, stopping)
             }
-            other => (self.fail(format!("unknown op {other:?}")), false),
+            (other, _) => (self.fail(format!("unknown op {other:?}")), false),
         }
     }
 
@@ -222,31 +265,58 @@ impl Connection {
         error_response(&message)
     }
 
-    fn resolve(&mut self, request: &Json) -> String {
-        if request.get("side").is_some() {
-            return self.fail(
-                "this server resolves a dedup pipeline; side-tagged resolution \
-                 requires a linkage server"
-                    .into(),
-            );
+    /// Parses a resolve request's `side`: rejected by a dedup server,
+    /// required by a linkage server.
+    fn side(&self, side: Option<&Json>) -> Result<Option<Side>, String> {
+        match (&self.backend, side.map(Json::as_str)) {
+            (Backend::Dedup { .. }, None) => Ok(None),
+            (Backend::Dedup { .. }, Some(_)) => Err("this server resolves a dedup pipeline; \
+                 side-tagged resolution requires a linkage server"
+                .into()),
+            (Backend::Link(_), Some(Some("left"))) => Ok(Some(Side::Left)),
+            (Backend::Link(_), Some(Some("right"))) => Ok(Some(Side::Right)),
+            (Backend::Link(_), Some(Some(other))) => {
+                Err(format!("side must be \"left\" or \"right\", got {other:?}"))
+            }
+            (Backend::Link(_), _) => {
+                Err("linkage resolve requires a \"side\" (\"left\" or \"right\")".into())
+            }
         }
+    }
+
+    fn resolve(&mut self, request: &Json) -> String {
+        let side = match self.side(request.get("side")) {
+            Ok(side) => side,
+            Err(e) => return self.fail(e),
+        };
         let values = match parse_values(request.get("values")) {
             Ok(v) => v,
             Err(e) => return self.fail(e),
         };
-        self.reads.refresh();
-        if values.len() != self.reads.arity() {
+        let arity = match &mut self.backend {
+            Backend::Dedup { reads, .. } => {
+                reads.refresh();
+                reads.arity()
+            }
+            Backend::Link(reads) => reads.arity(),
+        };
+        if values.len() != arity {
             return self.fail(format!(
-                "record arity {} does not match schema arity {}",
-                values.len(),
-                self.reads.arity()
+                "record arity {} does not match schema arity {arity}",
+                values.len()
             ));
         }
-        let out = self.reads.resolve(&Record::new(0, values));
+        let record = Record::new(0, values);
+        let out = match &mut self.backend {
+            Backend::Dedup { reads, .. } => reads.resolve(&record),
+            Backend::Link(reads) => {
+                reads.resolve(&record, side.expect("a linkage server requires a side"))
+            }
+        };
         render_resolution(&out)
     }
 
-    fn ingest(&mut self, request: &Json) -> String {
+    fn ingest(&self, writes: &WriteHandle, request: &Json) -> String {
         let records = match request.get("records").and_then(Json::as_arr) {
             Some(r) => r,
             None => return self.fail("ingest request carries no \"records\" array".into()),
@@ -263,7 +333,7 @@ impl Connection {
             };
             batch.push(Record::new(id, values));
         }
-        match self.writes.ingest(batch) {
+        match writes.ingest(batch) {
             Ok(outcomes) => {
                 let mut arr = Arr::new();
                 for out in &outcomes {
@@ -284,66 +354,53 @@ impl Connection {
         }
     }
 
-    fn admin(&mut self, request: &Json) -> (String, bool) {
+    fn admin(&self, request: &Json) -> (String, bool) {
         let cmd = match request.get("cmd").and_then(Json::as_str) {
             Some(cmd) => cmd,
             None => return (self.fail("admin request carries no \"cmd\"".into()), false),
         };
-        match cmd {
-            "ping" => {
-                let mut o = Obj::new();
-                o.bool("ok", true);
+        let mut o = Obj::new();
+        o.bool("ok", true);
+        let writes = match (cmd, &self.backend) {
+            ("ping", _) => {
                 o.bool("pong", true);
-                (o.finish(), false)
+                return (o.finish(), false);
             }
-            "stats" => match self.writes.stats() {
-                Ok(text) => {
-                    let mut o = Obj::new();
-                    o.bool("ok", true);
-                    o.str("stats", &text);
-                    (o.finish(), false)
-                }
-                Err(e) => (self.fail(e.to_string()), false),
-            },
-            "compact" => match self.writes.compact() {
-                Ok(report) => {
-                    let mut o = Obj::new();
-                    o.bool("ok", true);
-                    o.u64("epoch", report.epoch);
-                    o.u64("bytes_reclaimed", report.bytes_reclaimed() as u64);
-                    (o.finish(), false)
-                }
-                Err(e) => (self.fail(e.to_string()), false),
-            },
-            "refresh" => match self.writes.refresh() {
-                Ok(report) => {
-                    let mut o = Obj::new();
-                    o.bool("ok", true);
-                    o.u64("records", report.records as u64);
-                    o.u64("pairs", report.pairs as u64);
-                    o.u64("em_iterations", report.em_iterations as u64);
-                    o.f64("divergence", report.divergence);
-                    o.u64("generation", report.generation);
-                    (o.finish(), false)
-                }
-                Err(e) => (self.fail(e.to_string()), false),
-            },
-            "snapshot" => match self.writes.snapshot_json() {
-                Ok(json) => {
-                    let mut o = Obj::new();
-                    o.bool("ok", true);
-                    o.raw("snapshot", &json);
-                    (o.finish(), false)
-                }
-                Err(e) => (self.fail(e.to_string()), false),
-            },
-            "shutdown" => {
-                let mut o = Obj::new();
-                o.bool("ok", true);
+            ("shutdown", _) => {
                 o.bool("stopping", true);
-                (o.finish(), true)
+                return (o.finish(), true);
             }
-            other => (self.fail(format!("unknown admin cmd {other:?}")), false),
+            (_, Backend::Dedup { writes, .. }) => writes,
+            (other, Backend::Link(_)) => {
+                return (
+                    self.fail(format!("unknown linkage admin cmd {other:?}")),
+                    false,
+                )
+            }
+        };
+        let done = match cmd {
+            "stats" => writes.stats().map(|text| {
+                o.str("stats", &text);
+            }),
+            "compact" => writes.compact().map(|report| {
+                o.u64("epoch", report.epoch);
+                o.u64("bytes_reclaimed", report.bytes_reclaimed() as u64);
+            }),
+            "refresh" => writes.refresh().map(|report| {
+                o.u64("records", report.records as u64);
+                o.u64("pairs", report.pairs as u64);
+                o.u64("em_iterations", report.em_iterations as u64);
+                o.f64("divergence", report.divergence);
+                o.u64("generation", report.generation);
+            }),
+            "snapshot" => writes.snapshot_json().map(|json| {
+                o.raw("snapshot", &json);
+            }),
+            other => return (self.fail(format!("unknown admin cmd {other:?}")), false),
+        };
+        match done {
+            Ok(()) => (o.finish(), false),
+            Err(e) => (self.fail(e.to_string()), false),
         }
     }
 }

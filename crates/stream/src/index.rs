@@ -129,6 +129,16 @@ pub struct LegStats {
     pub dead_postings: usize,
 }
 
+impl LegStats {
+    /// Adds another leg's (or shard's, or side's) counts to these.
+    pub(crate) fn absorb(&mut self, other: LegStats) {
+        self.live += other.live;
+        self.retired += other.retired;
+        self.postings += other.postings;
+        self.dead_postings += other.dead_postings;
+    }
+}
+
 /// Bucket statistics of an incremental index, per leg.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
@@ -368,11 +378,7 @@ impl Leg {
 
     /// Merges another leg's stats into an accumulator (sharded form).
     pub(crate) fn accumulate_stats(&self, acc: &mut LegStats) {
-        let s = self.stats();
-        acc.live += s.live;
-        acc.retired += s.retired;
-        acc.postings += s.postings;
-        acc.dead_postings += s.dead_postings;
+        acc.absorb(self.stats());
     }
 }
 

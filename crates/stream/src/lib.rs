@@ -19,16 +19,23 @@
 //!   freeze of a fitted generative model (means, covariances, prior)
 //!   plus the feature replay state (per-column normalization ranges,
 //!   imputation means, attribute types) and the blocking configuration.
-//! * [`StreamPipeline`] — the façade: [`StreamPipeline::bootstrap`] fits
-//!   once on an initial batch, then [`StreamPipeline::ingest`] processes
-//!   records with frozen-model scoring only, assigning each to an
-//!   existing entity or minting a new one. Records can be withdrawn
-//!   again ([`StreamPipeline::retract`] / [`StreamPipeline::update`]):
-//!   tombstones hide them from candidates, the match-decision log
-//!   rebuilds the affected component's clusters, and online compaction
-//!   ([`StreamPipeline::compact`], automatic past a dead-fraction
-//!   watermark) reclaims the dead index postings — no stop-the-world
-//!   rebuild, record indices stay stable forever.
+//! * [`Pipeline`] — one streaming core under both workloads, generic
+//!   over its side [`Topology`]: `bootstrap` fits once on an initial
+//!   batch, then ingest processes records with
+//!   frozen-model scoring only, assigning each to an existing entity or
+//!   minting a new one. [`StreamPipeline`] is the one-side (dedup)
+//!   topology, where every record probes and inserts one index;
+//!   [`LinkPipeline`] is the two-side (record linkage) topology, where a
+//!   record probes the opposite side's index and joins its own. The
+//!   ingest step, the parallel batch, retraction, compaction, snapshot
+//!   tombstones and read handles are one code path for both. Records
+//!   can be withdrawn again ([`Pipeline::retract`], and
+//!   [`StreamPipeline::update`] for dedup): tombstones hide them from
+//!   candidates, the match-decision log rebuilds the affected
+//!   component's clusters, and online compaction ([`Pipeline::compact`],
+//!   automatic past a dead-fraction watermark) reclaims the dead index
+//!   postings — no stop-the-world rebuild, record indices stay stable
+//!   forever.
 //!
 //! ```
 //! use zeroer_stream::{StreamOptions, StreamPipeline};
@@ -59,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod drift;
+pub mod engine;
 pub mod index;
 pub mod legs;
 pub mod link;
@@ -70,11 +78,12 @@ pub mod split;
 pub mod store;
 
 pub use drift::DriftMonitor;
+pub use engine::{Pipeline, Topology};
 pub use index::{CompactionDelta, IncrementalIndex, IndexConfig, IndexStats, LegStats};
 pub use legs::{build_linkage_legs, LegReplay, LegTriple, LinkageLegs};
-pub use link::{LinkBootstrapReport, LinkPipeline, LinkReadHandle, Side};
+pub use link::{LinkBootstrapReport, LinkPipeline, LinkReadHandle, Linkage, Side};
 pub use pipeline::{
-    render_stats, BootstrapReport, CompactionReport, IngestOutcome, RefreshReport,
+    render_stats, BootstrapReport, CompactionReport, Dedup, IngestOutcome, RefreshReport,
     RetractionReport, StreamError, StreamOptions, StreamPipeline, StreamStats,
 };
 pub use shard::{RecordKeys, ShardedIndex, DEFAULT_SHARDS};

@@ -1,28 +1,23 @@
-//! The streaming façade: bootstrap once, then ingest forever —
-//! sequentially one record at a time, or in parallel batches across a
-//! worker pool (see [`StreamPipeline::ingest_batch_parallel`]) — and
-//! retract records again ([`StreamPipeline::retract`]) with online
-//! compaction ([`StreamPipeline::compact`], plus an automatic
-//! dead-fraction watermark) so long-lived nodes never need a
-//! stop-the-world rebuild.
+//! The dedup façade over the shared streaming core ([`crate::engine`]):
+//! bootstrap once, then ingest forever — sequentially one record at a
+//! time, or in parallel batches across a worker pool (see
+//! [`StreamPipeline::ingest_batch_parallel`]) — and retract records
+//! again ([`StreamPipeline::retract`]) with online compaction
+//! ([`StreamPipeline::compact`], plus an automatic dead-fraction
+//! watermark) so long-lived nodes never need a stop-the-world rebuild.
+//! Also home to the option, report and error types both workloads share.
 
-use crate::drift::{DriftMonitor, DriftSample};
+use crate::drift::DriftMonitor;
+use crate::engine::sealed::Sealed;
+use crate::engine::{check_base, records_digest, Pipeline, Topology};
 use crate::index::{CompactionDelta, IndexConfig, IndexStats};
-use crate::meters::StageMeters;
-use crate::shard::{RecordKeys, ShardedIndex};
 use crate::snapshot::PipelineSnapshot;
 use crate::store::{EntityStore, StoreCompaction};
-use std::sync::Mutex;
 use zeroer_blocking::{standard_candidates_derived, PairMode};
-use zeroer_core::{
-    GenerativeModel, ModelSnapshot, ScoreBatch, SnapshotScorer, TransitivityCalibrator,
-    ZeroErConfig,
-};
+use zeroer_core::{GenerativeModel, ModelSnapshot, TransitivityCalibrator, ZeroErConfig};
 use zeroer_features::{BatchFeaturizer, PairFeaturizer};
-use zeroer_obs::{Histogram, Stopwatch};
-use zeroer_tabular::{Record, Table};
-use zeroer_textsim::derive::{DerivedRecord, ScratchDerived, ScratchDeriver};
-use zeroer_textsim::intern::{Interner, Sym};
+use zeroer_obs::Stopwatch;
+use zeroer_tabular::{AttrType, Record, Table};
 
 /// The machine's available parallelism — the default for the `--threads`
 /// ingest flag and [`StreamPipeline::ingest_batch_parallel`] callers that
@@ -332,174 +327,100 @@ pub struct RefreshReport {
     /// Model generation after the swap (bootstrap model = 0).
     pub generation: u64,
 }
-
-/// Incremental entity resolution on top of a frozen batch-fitted model:
-/// ingest records one at a time, find candidates via incremental blocking
-/// indexes, score them with snapshot inference (no EM), and maintain
-/// entity clusters transitively in a union-find.
-pub struct StreamPipeline {
-    opts: StreamOptions,
-    store: EntityStore,
-    index: ShardedIndex,
-    featurizer: BatchFeaturizer,
-    scorer: SnapshotScorer,
-    /// Reusable struct-of-arrays scoring buffers for the sequential
-    /// scoring hot loop (parallel workers carry their own), keeping
-    /// steady-state scoring allocation-free.
-    batch: ScoreBatch,
-    /// Candidate pairs generated so far (see [`StreamStats`]).
-    candidates_seen: usize,
-    /// Bootstrap provenance: how many records the model was fitted on,
-    /// which pairs were merged at fit time, and a digest of those
-    /// records; persisted into the snapshot so `seed_base` can replay
-    /// batch decisions without re-scoring (and refuse the wrong table).
+/// The dedup topology (`T = T'`): one table whose records probe and
+/// insert one shared blocking index, scored by one frozen model. Holds
+/// what only dedup keeps — the bootstrap provenance
+/// [`PipelineSnapshot`] persists (how many records the model was fitted
+/// on and a digest of them, so `seed_base` can replay batch decisions
+/// without re-scoring and refuse the wrong table) and the drift monitor
+/// behind auto-refresh.
+pub struct Dedup {
     base_len: usize,
-    base_matches: Vec<(usize, usize)>,
     base_digest: u64,
-    /// Tombstones restored from a snapshot and not yet replayed: they
-    /// name bootstrap-record indices and are applied by `seed_base`
-    /// (retraction is refused until then — the indices would otherwise
-    /// be ambiguous against freshly streamed records).
-    pending_tombstones: Vec<usize>,
-    /// Epoch restored from a snapshot, re-pinned after `seed_base`.
-    pending_epoch: u64,
-    /// Metric handles, resolved once at construction; `None` when
-    /// [`StreamOptions::metrics`] is off, so the uninstrumented hot
-    /// path pays a single branch per stage boundary.
-    meters: Option<StageMeters>,
     /// Streaming posterior/feature summaries against the frozen model's
     /// baseline — always maintained (folding is a handful of adds per
     /// record) so the refresh watermark works with metrics off; gauge
     /// publication is what the metrics flag gates.
     drift: DriftMonitor,
-    /// How many times the scorer has been swapped by [`StreamPipeline::refit`]
-    /// since construction (0 = still the bootstrap model).
-    generation: u64,
 }
 
-/// One record's scoring result crossing from a parallel scoring worker
-/// back to the single writer: the above-threshold matches plus the
-/// drift-window sample (`None` for zero-candidate records and on the
-/// scalar path).
-type ScoredRecord = (Vec<(usize, f64)>, Option<DriftSample>);
+impl Sealed for Dedup {}
 
-/// A slice of per-record scoring slots handed to a scoring worker,
-/// tagged with the index of its first record.
-type ScoreJob<'m> = (usize, &'m mut [ScoredRecord]);
+impl Topology for Dedup {
+    const PREFIX: &'static str = "stream";
+    const INDEXES: usize = 1;
+    const MODEL: &'static str = "model";
 
-/// Order-sensitive FNV-1a digest of a record sequence (ids + values),
-/// used to pin persisted bootstrap decisions to the exact table they
-/// were made on: replaying merge pairs onto different or reordered
-/// records would silently produce wrong clusters.
-pub(crate) fn records_digest(records: &[Record]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for r in records {
-        eat(&r.id.to_le_bytes());
-        for v in &r.values {
-            match v.as_text() {
-                Some(t) => {
-                    eat(&[0xff]);
-                    eat(t.as_bytes());
-                }
-                None => eat(&[0xfe]),
-            }
-        }
+    fn drift(&mut self) -> Option<&mut DriftMonitor> {
+        Some(&mut self.drift)
     }
-    h
 }
 
-/// Scores `candidates` (cluster-state-independent: features depend only
-/// on the two records) against the new record's derivation, returning the
-/// `(candidate, posterior)` pairs above `threshold`, sorted by descending
-/// posterior (stable, so ties keep ascending candidate order).
-///
-/// Orientation matters because a few of the similarity measures (e.g.
-/// Monge-Elkan) are asymmetric. With `new_on_left = false`, rows are
-/// `(candidate, new)` — the dedup `(older, newer)` convention mirroring
-/// batch pairs `(i, j)` with `i < j`, which is also the linkage
-/// orientation when the *new* record is right-side. `new_on_left = true`
-/// flips to `(new, candidate)` for left-side linkage ingest, keeping
-/// rows `(left, right)` as the cross model was fitted.
-///
-/// With `batched` on, the candidates are gathered into `batch`'s
-/// column-major feature matrix (one similarity function filling one
-/// column across every pair) and scored through the struct-of-arrays
-/// kernels ([`zeroer_features::BatchFeaturizer::fill_columns`] →
-/// [`SnapshotScorer::score_batch`]); otherwise each candidate is
-/// featurized and scored row-at-a-time. Both paths run the exact same
-/// float operations per pair in the exact same order, so posteriors are
-/// bit-identical (`f64::to_bits`) between them — `tests/batched_parity.rs`
-/// locks that in.
-///
-/// Every ingest path — sequential and parallel, dedup and linkage —
-/// calls this single function on identical inputs, which is what makes
-/// parallel ingest bit-identical to sequential ingest.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn score_candidates<'a, F>(
-    featurizer: &BatchFeaturizer,
-    scorer: &SnapshotScorer,
-    interner: &Interner,
-    threshold: f64,
-    new_on_left: bool,
-    candidates: &[usize],
-    derived_of: F,
-    new_derived: &'a DerivedRecord,
-    batch: &mut ScoreBatch,
-    batched: bool,
-    batch_meter: Option<&'static Histogram>,
-) -> Vec<(usize, f64)>
-where
-    F: Fn(usize) -> &'a DerivedRecord,
-{
-    let mut matches: Vec<(usize, f64)> = Vec::new();
-    if batched {
-        if let Some(h) = batch_meter {
-            h.record(candidates.len() as u64);
-        }
-        if !candidates.is_empty() {
-            featurizer.fill_columns(
-                interner,
-                candidates.len(),
-                |i| {
-                    let c = derived_of(candidates[i]);
-                    if new_on_left {
-                        (new_derived, c)
-                    } else {
-                        (c, new_derived)
-                    }
-                },
-                batch.cols_mut(),
-            );
-            let scores = scorer.score_batch(batch);
-            for (&c, &p) in candidates.iter().zip(scores) {
-                if p > threshold {
-                    matches.push((c, p));
-                }
-            }
-        }
-    } else {
-        let row = featurizer.row();
-        let buf = batch.row_scratch();
-        for &c in candidates {
-            if new_on_left {
-                row.raw_row_into(interner, new_derived, derived_of(c), buf);
-            } else {
-                row.raw_row_into(interner, derived_of(c), new_derived, buf);
-            }
-            let p = scorer.score_raw(buf);
-            if p > threshold {
-                matches.push((c, p));
-            }
-        }
+/// Incremental deduplication on top of a frozen batch-fitted model:
+/// ingest records one at a time or in parallel batches, find candidates
+/// via the incremental blocking index, score them with snapshot
+/// inference (no EM), and maintain entity clusters transitively in a
+/// union-find. The methods both workloads share (`retract`, `compact`,
+/// `stats`, `clusters`, …) are documented on [`Pipeline`].
+pub type StreamPipeline = Pipeline<Dedup>;
+
+/// What one run of the dedup fit recipe produced.
+struct DedupFit {
+    fz: PairFeaturizer,
+    pairs: Vec<(usize, usize)>,
+    model: GenerativeModel,
+    ranges: Vec<(f64, f64)>,
+    impute_means: Vec<f64>,
+    names: Vec<String>,
+    iterations: usize,
+}
+
+/// The dedup fit recipe shared by [`StreamPipeline::bootstrap`] and
+/// [`StreamPipeline::refit`]: blocking → features → normalization → EM
+/// with the transitivity calibrator over `table`. `stage` names the
+/// caller in errors; a refit passes the `frozen` attribute types its
+/// feature layout must keep.
+fn fit_dedup(
+    table: &Table,
+    opts: &StreamOptions,
+    stage: &str,
+    frozen: Option<&[AttrType]>,
+) -> Result<DedupFit, StreamError> {
+    let fz = PairFeaturizer::with_config(table, table, opts.index_config().derive_config());
+    if frozen.is_some_and(|types| fz.attr_types() != types) {
+        return Err(StreamError(
+            "refit inferred different attribute types than the frozen feature layout; \
+             the live data has drifted structurally, not just statistically — refusing \
+             to swap a model with a different feature space"
+                .into(),
+        ));
     }
-    matches.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite posteriors"));
-    matches
+    let cs = standard_candidates_derived(
+        fz.left_derived(),
+        None,
+        PairMode::Dedup,
+        opts.min_token_overlap,
+        opts.max_bucket,
+    );
+    if cs.is_empty() {
+        return Err(StreamError(format!(
+            "{stage} produced no candidate pairs; nothing to fit a model on"
+        )));
+    }
+    let mut fs = fz.featurize(cs.pairs());
+    fs.normalize();
+    let mut model = GenerativeModel::new(opts.config.clone(), fs.layout.clone());
+    let calibrator = TransitivityCalibrator::new(cs.pairs());
+    let summary = model.fit(&fs.matrix, Some(&calibrator));
+    Ok(DedupFit {
+        fz,
+        pairs: cs.pairs().to_vec(),
+        model,
+        ranges: fs.ranges.expect("normalize() was called"),
+        impute_means: fs.impute_means,
+        names: fs.names,
+        iterations: summary.iterations,
+    })
 }
 
 impl StreamPipeline {
@@ -520,48 +441,13 @@ impl StreamPipeline {
         initial: &Table,
         opts: StreamOptions,
     ) -> Result<(Self, BootstrapReport), StreamError> {
-        let meters = StageMeters::from_flag(opts.metrics, "stream");
-        let sw = Stopwatch::new(meters.is_some());
-        let index_cfg = opts.index_config();
-        let fz = PairFeaturizer::with_config(initial, initial, index_cfg.derive_config());
-        let cs = standard_candidates_derived(
-            fz.left_derived(),
-            None,
-            PairMode::Dedup,
-            opts.min_token_overlap,
-            opts.max_bucket,
-        );
-        if cs.is_empty() {
-            return Err(StreamError(
-                "bootstrap produced no candidate pairs; nothing to fit a model on".into(),
-            ));
-        }
-        let mut fs = fz.featurize(cs.pairs());
-        fs.normalize();
-
-        let mut model = GenerativeModel::new(opts.config.clone(), fs.layout.clone());
-        let calibrator = TransitivityCalibrator::new(cs.pairs());
-        let summary = model.fit(&fs.matrix, Some(&calibrator));
-
-        let ranges = fs.ranges.as_ref().expect("normalize() was called").clone();
-        let snapshot = ModelSnapshot::capture(&model, &ranges, &fs.impute_means, &fs.names);
+        let sw = Stopwatch::new(opts.metrics);
+        let fit = fit_dedup(initial, &opts, "bootstrap", None)?;
+        let snapshot =
+            ModelSnapshot::capture(&fit.model, &fit.ranges, &fit.impute_means, &fit.names);
         let drift = DriftMonitor::new(&snapshot);
         let scorer = snapshot.scorer()?;
-
-        let featurizer = BatchFeaturizer::new(fz.attr_types());
-        debug_assert_eq!(featurizer.dim(), snapshot.dim());
-
-        // Hand the featurizer's derivation (and interner) to the store —
-        // no record is derived twice — and seed the blocking index from
-        // the derived keys.
-        let (interner, derived) = fz.into_parts();
-        let mut store =
-            EntityStore::from_derived(initial, interner, derived, index_cfg.derive_config());
-        let mut index = ShardedIndex::new(index_cfg);
-        for i in 0..store.len() {
-            let keys = RecordKeys::from_derived(store.derived(i), store.interner());
-            index.insert_keys(keys);
-        }
+        let featurizer = BatchFeaturizer::new(fit.fz.attr_types());
 
         // Cluster merges use the same `p > threshold` criterion ingest
         // applies, so a pair decides identically whether it arrived in
@@ -570,47 +456,44 @@ impl StreamPipeline {
         // `dedup_table`; at the default threshold of 0.5 the two agree.
         // The merged pairs are kept (and persisted in the snapshot) so a
         // restored pipeline can replay these decisions via `seed_base`.
-        let labels = model.labels();
-        let mut base_matches = Vec::new();
-        for (&(a, b), &gamma) in cs.pairs().iter().zip(model.gammas()) {
-            if gamma > opts.threshold {
-                store.merge(a, b);
-                base_matches.push((a, b));
-            }
-        }
-
+        let gammas = fit.model.gammas();
+        let base_matches = fit
+            .pairs
+            .iter()
+            .zip(gammas)
+            .filter(|&(_, &gamma)| gamma > opts.threshold)
+            .map(|(&pair, _)| pair)
+            .collect();
         let report = BootstrapReport {
-            pairs: cs.pairs().to_vec(),
-            probabilities: model.gammas().to_vec(),
-            labels,
-            em_iterations: summary.iterations,
+            probabilities: gammas.to_vec(),
+            labels: fit.model.labels(),
+            em_iterations: fit.iterations,
+            pairs: fit.pairs,
         };
-        if let Some(m) = meters {
-            sw.total(m.bootstrap);
-            m.records.add(store.len() as u64);
-            m.candidates.add(cs.pairs().len() as u64);
-            m.matches.add(base_matches.len() as u64);
-        }
-        Ok((
-            Self {
-                opts,
-                candidates_seen: cs.pairs().len(),
-                base_len: store.len(),
-                base_matches,
-                base_digest: records_digest(initial.records()),
-                store,
-                index,
-                featurizer,
-                scorer,
-                batch: ScoreBatch::new(),
-                pending_tombstones: Vec::new(),
-                pending_epoch: 0,
-                meters,
-                drift,
-                generation: 0,
-            },
-            report,
-        ))
+
+        // Hand the featurizer's derivation (and interner) to the store —
+        // no record is derived twice.
+        let derive_cfg = opts.index_config().derive_config();
+        let (interner, derived) = fit.fz.into_parts();
+        let store = EntityStore::from_derived(initial, interner, derived, derive_cfg);
+        let topo = Dedup {
+            base_len: store.len(),
+            base_digest: records_digest(initial.records()),
+            drift,
+        };
+        let candidates = report.pairs.len();
+        let pipeline = Pipeline::bootstrapped(
+            topo,
+            opts,
+            store,
+            Vec::new(),
+            featurizer,
+            scorer,
+            base_matches,
+            candidates,
+            sw,
+        );
+        Ok((pipeline, report))
     }
 
     /// Rebuilds a scoring pipeline from a saved [`PipelineSnapshot`] with
@@ -631,80 +514,38 @@ impl StreamPipeline {
     /// vs. model dimensionality), or if it carries tombstones for
     /// streamed (non-persisted) records.
     pub fn from_snapshot(snap: &PipelineSnapshot, threshold: f64) -> Result<Self, StreamError> {
-        let featurizer = BatchFeaturizer::new(&snap.attr_types);
-        if featurizer.dim() != snap.model.dim() {
-            return Err(StreamError(format!(
-                "snapshot attr types imply {} features but the model has {}",
-                featurizer.dim(),
-                snap.model.dim()
-            )));
-        }
-        if let Some(&t) = snap.tombstones.iter().find(|&&t| t >= snap.bootstrap_len) {
-            return Err(StreamError(format!(
-                "snapshot tombstones record {t}, which lies beyond the {} bootstrap records; \
-                 streamed records are not persisted, so their retractions cannot be restored",
-                snap.bootstrap_len
-            )));
-        }
-        let scorer = snap.model.scorer()?;
-        let opts = StreamOptions {
-            config: ZeroErConfig::default(),
-            blocking_attr: snap.index.attr,
-            min_token_overlap: snap.index.min_token_overlap,
-            qgram: snap.index.qgram,
-            max_bucket: snap.index.max_bucket,
-            threshold,
-            compact_watermark: StreamOptions::default().compact_watermark,
-            refresh_watermark: StreamOptions::default().refresh_watermark,
-            refresh_min_records: StreamOptions::default().refresh_min_records,
-            metrics: StreamOptions::default().metrics,
-            batched_scoring: StreamOptions::default().batched_scoring,
-        };
-        let meters = StageMeters::from_flag(opts.metrics, "stream");
-        Ok(Self {
-            store: EntityStore::new(snap.to_schema(), snap.index.derive_config()),
-            index: ShardedIndex::new(snap.index.clone()),
-            featurizer,
-            scorer,
-            opts,
-            batch: ScoreBatch::new(),
-            candidates_seen: 0,
+        let topo = Dedup {
             base_len: snap.bootstrap_len,
-            base_matches: snap.bootstrap_pairs.clone(),
             base_digest: snap.bootstrap_digest,
-            pending_tombstones: snap.tombstones.clone(),
-            pending_epoch: snap.epoch,
-            meters,
             drift: DriftMonitor::new(&snap.model),
-            generation: 0,
-        })
+        };
+        Pipeline::restore(
+            topo,
+            snap.to_schema(),
+            &snap.attr_types,
+            &snap.index,
+            &snap.model,
+            &snap.bootstrap_pairs,
+            snap.bootstrap_len,
+            &snap.tombstones,
+            snap.epoch,
+            threshold,
+        )
     }
 
     /// Freezes the current pipeline configuration into a serializable
     /// snapshot, including the bootstrap match decisions (if this
     /// pipeline knows them) so a cold restart can preserve them.
     pub fn snapshot(&self) -> PipelineSnapshot {
-        // Un-replayed pending tombstones pass through verbatim (the
-        // store cannot have its own while they exist — retraction is
-        // refused until `seed_base` consumes them).
-        let (tombstones, epoch) = if self.pending_tombstones.is_empty() {
-            (
-                (0..self.store.len())
-                    .filter(|&i| self.store.is_retracted(i))
-                    .collect(),
-                self.store.epoch(),
-            )
-        } else {
-            (self.pending_tombstones.clone(), self.pending_epoch)
-        };
+        let (tombstones, epoch) = self.persisted_tombstones();
         PipelineSnapshot {
             schema: self.store.table().schema().attributes().to_vec(),
             attr_types: self.featurizer.attr_types().to_vec(),
-            index: self.index.config().clone(),
+            index: self.indexes[0].config().clone(),
             model: self.scorer.snapshot().clone(),
-            bootstrap_len: self.base_len,
+            bootstrap_len: self.topo.base_len,
             bootstrap_pairs: self.base_matches.clone(),
-            bootstrap_digest: self.base_digest,
+            bootstrap_digest: self.topo.base_digest,
             tombstones,
             epoch,
         }
@@ -722,71 +563,14 @@ impl StreamPipeline {
     /// Fails if the store already holds records, the snapshot carries no
     /// bootstrap decisions, or `base` has the wrong record count.
     pub fn seed_base(&mut self, base: &Table) -> Result<(), StreamError> {
-        if !self.store.is_empty() {
-            return Err(StreamError(
-                "seed_base requires an empty (just-restored) pipeline".into(),
-            ));
-        }
-        if self.base_len == 0 {
+        self.check_unseeded()?;
+        if self.topo.base_len == 0 {
             return Err(StreamError(
                 "snapshot carries no bootstrap decisions to replay".into(),
             ));
         }
-        if base.len() != self.base_len {
-            return Err(StreamError(format!(
-                "base table has {} records but the snapshot was bootstrapped on {}",
-                base.len(),
-                self.base_len
-            )));
-        }
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        if self.base_digest != 0 && records_digest(base.records()) != self.base_digest {
-            return Err(StreamError(
-                "base table does not match the records the snapshot was bootstrapped on \
-                 (same length, different or reordered records); the persisted batch \
-                 decisions cannot be replayed onto it"
-                    .into(),
-            ));
-        }
-        for r in base.records() {
-            let derived = self.store.derive(r);
-            let keys = RecordKeys::from_derived(&derived, self.store.interner());
-            self.index.insert_keys(keys);
-            self.store.push_derived(r.clone(), derived);
-        }
-        for &(a, b) in &self.base_matches {
-            self.store.merge(a, b);
-        }
-        // Replay persisted retractions (bootstrap-record indices only —
-        // from_snapshot already rejected anything beyond), then re-pin
-        // the persisted epoch so the restored state orders exactly like
-        // the saved one.
-        let pending = std::mem::take(&mut self.pending_tombstones);
-        for &i in &pending {
-            self.retract_now(i)?;
-        }
-        let epoch = self.pending_epoch.max(self.store.epoch());
-        self.store.set_epoch(epoch);
-        if let Some(m) = m {
-            sw.total(m.seed);
-            m.records.add(self.base_len as u64);
-        }
-        Ok(())
-    }
-
-    /// The entity store.
-    pub fn store(&self) -> &EntityStore {
-        &self.store
-    }
-
-    /// The options in effect. For pipelines restored via
-    /// [`StreamPipeline::from_snapshot`], `config` is
-    /// `ZeroErConfig::default()` — the fit-time configuration is consumed
-    /// by the bootstrap EM run and is not stored in the snapshot (scoring
-    /// depends only on the frozen parameters).
-    pub fn options(&self) -> &StreamOptions {
-        &self.opts
+        check_base("base", base, self.topo.base_len, self.topo.base_digest)?;
+        self.seed(&[(None, base)])
     }
 
     /// Reconfigures the dead-fraction auto-compaction watermark
@@ -813,61 +597,7 @@ impl StreamPipeline {
     /// The live drift monitor: streaming posterior/feature summaries
     /// against the current model's baseline.
     pub fn drift(&self) -> &DriftMonitor {
-        &self.drift
-    }
-
-    /// How many times [`StreamPipeline::refit`] has swapped the scorer
-    /// (0 = still serving the bootstrap model).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Enables or disables this pipeline's stage metrics (see
-    /// [`StreamOptions::metrics`]). A runtime knob, not persisted in
-    /// snapshots. Metrics are purely observational: on or off, every
-    /// decision, cluster and snapshot is bit-identical.
-    pub fn set_metrics(&mut self, on: bool) {
-        self.opts.metrics = on;
-        self.meters = StageMeters::from_flag(on, "stream");
-    }
-
-    /// Switches candidate scoring between the struct-of-arrays batched
-    /// kernels and the row-at-a-time scalar loop (see
-    /// [`StreamOptions::batched_scoring`]). A runtime knob, not
-    /// persisted in snapshots. On or off, every posterior, decision,
-    /// cluster and snapshot is bit-identical — the flag only trades the
-    /// evaluation strategy.
-    pub fn set_batched_scoring(&mut self, on: bool) {
-        self.opts.batched_scoring = on;
-    }
-
-    /// Number of ingested records (bootstrap records included).
-    pub fn len(&self) -> usize {
-        self.store.len()
-    }
-
-    /// Whether nothing has been ingested.
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Derivation and blocking observability counters.
-    pub fn stats(&self) -> StreamStats {
-        StreamStats {
-            interned_tokens: self.store.interner().len(),
-            interned_bytes: self.store.interner().bytes(),
-            index: self.index.stats(),
-            candidate_pairs: self.candidates_seen,
-            live_records: self.store.live_len(),
-            retracted_records: self.store.retracted_count(),
-            decision_log: self.store.decision_log_len(),
-            epoch: self.store.epoch(),
-        }
-    }
-
-    /// The pipeline epoch: advances on every retraction and compaction.
-    pub fn epoch(&self) -> u64 {
-        self.store.epoch()
+        &self.topo.drift
     }
 
     /// Clones the pipeline's read state into an immutable, epoch-tagged
@@ -876,17 +606,7 @@ impl StreamPipeline {
     /// the store (records + derivations + interner + cluster index), the
     /// blocking index, and the frozen featurizer/scorer pair.
     pub fn read_view(&self) -> crate::split::ReadView {
-        crate::split::ReadView {
-            epoch: self.store.epoch(),
-            version: 0,
-            store: self.store.clone(),
-            index: self.index.clone(),
-            featurizer: self.featurizer.clone(),
-            scorer: self.scorer.clone(),
-            threshold: self.opts.threshold,
-            batched: self.opts.batched_scoring,
-            score_meter: self.meters.map(|m| m.score_batch_candidates),
-        }
+        self.view()
     }
 
     /// Ingests one record: one derivation pass → incremental blocking →
@@ -900,86 +620,9 @@ impl StreamPipeline {
     /// # Panics
     /// Panics if the record arity does not match the schema.
     pub fn ingest(&mut self, record: Record) -> IngestOutcome {
-        let outcome = self.ingest_one(record);
+        let outcome = self.ingest_one(record, None);
         self.after_ingest();
         outcome
-    }
-
-    /// The per-record ingest core, shared by [`StreamPipeline::ingest`]
-    /// and [`StreamPipeline::ingest_batch`]: everything except the
-    /// ingest-boundary work (`after_ingest`), so batch ingestion checks
-    /// the refresh watermark once per call instead of once per record —
-    /// keeping it aligned with [`StreamPipeline::ingest_batch_parallel`],
-    /// which cannot refit mid-batch.
-    fn ingest_one(&mut self, record: Record) -> IngestOutcome {
-        // Validate before touching any state: a panic must not leave the
-        // index one record ahead of the store.
-        assert_eq!(
-            record.values.len(),
-            self.store.table().schema().arity(),
-            "record arity {} does not match schema arity {}",
-            record.values.len(),
-            self.store.table().schema().arity()
-        );
-        let m = self.meters;
-        let mut sw = Stopwatch::new(m.is_some());
-        let derived = self.store.derive(&record);
-        let keys = RecordKeys::from_derived(&derived, self.store.interner());
-        if let Some(m) = m {
-            sw.lap(m.derive);
-        }
-        let candidates = self.index.insert_keys_live(keys, self.store.tombstones());
-        self.candidates_seen += candidates.len();
-        if let Some(m) = m {
-            sw.lap(m.block);
-            m.candidates.add(candidates.len() as u64);
-        }
-        let idx = self.store.push_derived(record, derived);
-        debug_assert_eq!(self.index.len(), self.store.len());
-
-        let store = &self.store;
-        let matches = score_candidates(
-            &self.featurizer,
-            &self.scorer,
-            store.interner(),
-            self.opts.threshold,
-            false,
-            &candidates,
-            |c| store.derived(c),
-            store.derived(idx),
-            &mut self.batch,
-            self.opts.batched_scoring,
-            m.map(|m| m.score_batch_candidates),
-        );
-        if let Some(m) = m {
-            sw.lap(m.score);
-        }
-        // The batch buffers hold this record's prepared columns and
-        // posteriors only when the batched path actually ran (non-empty
-        // candidate list); `from_batch` rejects the empty case itself.
-        let sample = if self.opts.batched_scoring {
-            DriftSample::from_batch(&self.batch, candidates.len())
-        } else {
-            None
-        };
-        self.drift
-            .fold(candidates.len(), matches.len(), sample.as_ref());
-        for &(c, _) in &matches {
-            self.store.merge(idx, c);
-        }
-        let cluster = self.store.find(idx);
-        if let Some(m) = m {
-            sw.lap(m.decide);
-            sw.total(m.ingest);
-            m.records.incr();
-            m.matches.add(matches.len() as u64);
-        }
-        IngestOutcome {
-            index: idx,
-            candidates: candidates.len(),
-            matches,
-            cluster,
-        }
     }
 
     /// Ingests a batch of records in order; later records can match
@@ -987,13 +630,15 @@ impl StreamPipeline {
     /// checked once, after the whole batch — an ingest call is the
     /// refit boundary, so sequential and parallel ingestion of the same
     /// batch see identical trigger points.
+    ///
+    /// # Panics
+    /// Panics if any record's arity does not match the schema (checked
+    /// up front, before any state is touched).
     pub fn ingest_batch(
         &mut self,
         records: impl IntoIterator<Item = Record>,
     ) -> Vec<IngestOutcome> {
-        let outcomes = records.into_iter().map(|r| self.ingest_one(r)).collect();
-        self.after_ingest();
-        outcomes
+        self.ingest_batch_parallel(records.into_iter().collect(), 1)
     }
 
     /// Ingest-boundary work shared by every ingest entry point: check
@@ -1003,26 +648,17 @@ impl StreamPipeline {
     fn after_ingest(&mut self) {
         let _ = self.maybe_autorefresh();
         if self.meters.is_some() {
-            self.drift.publish();
+            self.topo.drift.publish();
         }
     }
 
     /// Ingests a batch across a pool of `threads` workers, producing
     /// outcomes **bit-identical** to [`StreamPipeline::ingest_batch`] on
-    /// the same records.
-    ///
-    /// This works because the frozen model makes streaming inference
-    /// embarrassingly parallel: candidate generation depends only on
-    /// previously inserted records (parallelized across index key-space
-    /// shards), and candidate scoring is read-only against the snapshot
-    /// (parallelized across records with per-worker buffers). The two
-    /// writes are serialized: fresh tokens discovered by the workers'
-    /// scratch interners are committed into the store interner in ingest
-    /// order (reproducing the sequential symbol numbering exactly — see
-    /// `zeroer_textsim::derive`), and a single writer applies the match
-    /// decisions in ingest order as the final step — so both the interner
-    /// and the union-find evolve through exactly the sequential sequence
-    /// of states.
+    /// the same records: derivation runs on the workers against a frozen
+    /// interner snapshot, candidate generation is parallel across index
+    /// key-space shards, scoring is parallel across records, and a
+    /// single writer commits fresh tokens and match decisions in ingest
+    /// order (see `crates/stream/README.md`).
     ///
     /// # Panics
     /// Panics if any record's arity does not match the schema (checked
@@ -1032,277 +668,9 @@ impl StreamPipeline {
         records: Vec<Record>,
         threads: usize,
     ) -> Vec<IngestOutcome> {
-        let threads = threads.max(1);
-        if threads == 1 || records.len() < 2 {
-            return self.ingest_batch(records);
-        }
-        let arity = self.store.table().schema().arity();
-        for r in &records {
-            assert_eq!(
-                r.values.len(),
-                arity,
-                "record arity {} does not match schema arity {}",
-                r.values.len(),
-                arity
-            );
-        }
-        let n = records.len();
-        let base = self.store.len();
-        let m = self.meters;
-        let mut sw = Stopwatch::new(m.is_some());
-
-        // Phase 1 (parallel over records): derive each record — the
-        // tokenization-heavy work — against a frozen snapshot of the
-        // store interner, parking unseen tokens in per-worker scratch
-        // tables.
-        let cfg = self.store.derive_config();
-        let chunk = n.div_ceil(threads).max(1);
-        let mut scratch_chunks: Vec<(Vec<ScratchDerived>, Vec<String>)> = {
-            let interner = self.store.interner();
-            let mut chunks: Vec<Option<(Vec<ScratchDerived>, Vec<String>)>> =
-                (0..records.chunks(chunk).len()).map(|_| None).collect();
-            crossbeam::thread::scope(|scope| {
-                for (rec_chunk, out) in records.chunks(chunk).zip(chunks.iter_mut()) {
-                    let cfg = &cfg;
-                    scope.spawn(move |_| {
-                        let mut deriver = ScratchDeriver::new(interner, cfg.clone());
-                        let derived: Vec<ScratchDerived> = rec_chunk
-                            .iter()
-                            .map(|r| deriver.derive(&r.values))
-                            .collect();
-                        *out = Some((derived, deriver.into_texts()));
-                    });
-                }
-            })
-            .expect("derivation worker panicked");
-            chunks
-                .into_iter()
-                .map(|c| c.expect("filled above"))
-                .collect()
-        };
-
-        // Commit (sequential, single writer, ingest order): intern each
-        // record's fresh tokens — reproducing the sequential symbol
-        // numbering — and rebind its derivation onto global symbols.
-        let mut derived: Vec<DerivedRecord> = Vec::with_capacity(n);
-        let mut keys: Vec<RecordKeys> = Vec::with_capacity(n);
-        for (chunk_derived, texts) in scratch_chunks.drain(..) {
-            let mut map: Vec<Option<Sym>> = vec![None; texts.len()];
-            for sd in chunk_derived {
-                let rec = sd.commit(&texts, &mut map, self.store.interner_mut());
-                keys.push(RecordKeys::from_derived(&rec, self.store.interner()));
-                derived.push(rec);
-            }
-        }
-        if let Some(m) = m {
-            sw.lap(m.batch_derive);
-        }
-
-        // Phase 2 (parallel over index shards): candidate generation.
-        // The tombstone set is frozen for the whole batch (retraction
-        // needs `&mut self`), so every worker filters identically and
-        // candidate lists stay bit-identical at any thread count.
-        let candidates = self
-            .index
-            .insert_batch_live(keys, threads, self.store.tombstones());
-        let batch_candidates = candidates.iter().map(Vec::len).sum::<usize>();
-        self.candidates_seen += batch_candidates;
-        if let Some(m) = m {
-            sw.lap(m.batch_block);
-            m.candidates.add(batch_candidates as u64);
-            m.batch_candidates.record(batch_candidates as u64);
-        }
-
-        // Phase 3 (parallel over records, work-stealing queue): frozen-
-        // model scoring. Chunks are small so a record with many
-        // candidates cannot straggle a whole static partition.
-        let store = &self.store;
-        let featurizer = &self.featurizer;
-        let scorer = &self.scorer;
-        let threshold = self.opts.threshold;
-        let batched = self.opts.batched_scoring;
-        let score_meter = m.map(|m| m.score_batch_candidates);
-        let mut scored: Vec<ScoredRecord> = (0..n).map(|_| (Vec::new(), None)).collect();
-        {
-            let score_chunk = n.div_ceil(threads * 8).max(1);
-            let queue: Mutex<Vec<ScoreJob<'_>>> = Mutex::new(
-                scored
-                    .chunks_mut(score_chunk)
-                    .enumerate()
-                    .map(|(ci, ch)| (ci * score_chunk, ch))
-                    .collect(),
-            );
-            // Queue-wait sampling measures lock acquisition only (the
-            // pop itself is O(1)); a handle copy, not `self`, crosses
-            // into the workers.
-            let queue_wait = m.map(|m| m.queue_wait);
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let queue = &queue;
-                    let candidates = &candidates;
-                    let derived = &derived;
-                    scope.spawn(move |_| {
-                        let mut batch = ScoreBatch::new();
-                        loop {
-                            let before = queue_wait.map(|h| (h, std::time::Instant::now()));
-                            let mut q = queue.lock().expect("queue poisoned");
-                            let waited = before.map(|(h, t)| (h, t.elapsed()));
-                            let job = q.pop();
-                            drop(q);
-                            if let Some((h, d)) = waited {
-                                h.record(d.as_nanos().min(u64::MAX as u128) as u64);
-                            }
-                            let Some((start, out)) = job else { break };
-                            for (off, slot) in out.iter_mut().enumerate() {
-                                let i = start + off;
-                                let matches = score_candidates(
-                                    featurizer,
-                                    scorer,
-                                    store.interner(),
-                                    threshold,
-                                    false,
-                                    &candidates[i],
-                                    |c| {
-                                        if c < base {
-                                            store.derived(c)
-                                        } else {
-                                            &derived[c - base]
-                                        }
-                                    },
-                                    &derived[i],
-                                    &mut batch,
-                                    batched,
-                                    score_meter,
-                                );
-                                // Sample the worker's batch buffers
-                                // immediately, while they still hold
-                                // record `i`'s prepared columns and
-                                // posteriors; the single writer folds
-                                // the samples in ingest order, so the
-                                // drift stream stays bit-identical to
-                                // the sequential path.
-                                let sample = if batched {
-                                    DriftSample::from_batch(&batch, candidates[i].len())
-                                } else {
-                                    None
-                                };
-                                *slot = (matches, sample);
-                            }
-                        }
-                    });
-                }
-            })
-            .expect("scoring worker panicked");
-        }
-        if let Some(m) = m {
-            sw.lap(m.batch_score);
-        }
-
-        // Phase 4 (sequential, single writer): apply match decisions in
-        // ingest order — the union-find passes through exactly the states
-        // sequential ingest would produce.
-        let mut outcomes = Vec::with_capacity(n);
-        for (((record, rec_derived), (matches, sample)), cands) in records
-            .into_iter()
-            .zip(derived)
-            .zip(scored)
-            .zip(&candidates)
-        {
-            self.drift.fold(cands.len(), matches.len(), sample.as_ref());
-            let idx = self.store.push_derived(record, rec_derived);
-            for &(c, _) in &matches {
-                self.store.merge(idx, c);
-            }
-            let cluster = self.store.find(idx);
-            outcomes.push(IngestOutcome {
-                index: idx,
-                candidates: cands.len(),
-                matches,
-                cluster,
-            });
-        }
-        debug_assert_eq!(self.index.len(), self.store.len());
-        if let Some(m) = m {
-            sw.lap(m.batch_decide);
-            sw.total(m.batch);
-            m.records.add(n as u64);
-            m.matches
-                .add(outcomes.iter().map(|o| o.matches.len() as u64).sum());
-        }
+        let outcomes = self.ingest_records(records, None, threads);
         self.after_ingest();
         outcomes
-    }
-
-    /// Current duplicate clusters (≥ 2 members), in the same shape
-    /// `dedup_table` reports. Retracted records never appear.
-    pub fn clusters(&self) -> Vec<Vec<usize>> {
-        self.store.clusters()
-    }
-
-    /// The shared retraction core: tombstone the record in the store
-    /// (rebuilding its connected component from the decision log) and
-    /// mark its index postings dead. No watermark check — `seed_base`
-    /// replays persisted tombstones through this without compacting.
-    fn retract_now(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
-        if idx >= self.store.len() {
-            return Err(StreamError(format!(
-                "unknown record index {idx} (store holds {} records)",
-                self.store.len()
-            )));
-        }
-        if self.store.is_retracted(idx) {
-            return Err(StreamError(format!("record {idx} is already retracted")));
-        }
-        // Capture the keys before the store mutates: the derivation is
-        // the only place the record's blocking keys live.
-        let keys = RecordKeys::from_derived(self.store.derived(idx), self.store.interner());
-        let out = self.store.retract(idx).map_err(StreamError)?;
-        let postings_tombstoned = self.index.retract_keys(idx, &keys);
-        Ok(RetractionReport {
-            epoch: out.epoch,
-            component_size: out.component_size,
-            postings_tombstoned,
-            auto_compaction: None,
-        })
-    }
-
-    /// Retracts record `idx`: the record is tombstoned, its connected
-    /// component's clusters are rebuilt from the match-decision log as
-    /// if it had never been ingested, and its index postings are marked
-    /// dead (candidates never see it again). If the dead-posting
-    /// fraction then crosses [`StreamOptions::compact_watermark`], the
-    /// pipeline compacts itself and reports it.
-    ///
-    /// Record indices are never reused: every other record keeps its
-    /// index, and the slot stays allocated until compaction releases its
-    /// heavy state.
-    ///
-    /// # Errors
-    /// Fails on an out-of-range index, an already-retracted record, or a
-    /// snapshot-restored pipeline whose persisted tombstones have not
-    /// been replayed yet (call [`StreamPipeline::seed_base`] first).
-    pub fn retract(&mut self, idx: usize) -> Result<RetractionReport, StreamError> {
-        if !self.pending_tombstones.is_empty() {
-            return Err(StreamError(
-                "snapshot tombstones are pending; seed_base must replay the bootstrap \
-                 records before new retractions"
-                    .into(),
-            ));
-        }
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        let mut report = self.retract_now(idx)?;
-        report.auto_compaction = self.maybe_autocompact();
-        if let Some(c) = &report.auto_compaction {
-            report.epoch = c.epoch;
-        }
-        if let Some(m) = m {
-            // Includes any auto-compaction the watermark triggered
-            // (which also times itself under `compact.ns`).
-            sw.total(m.retract);
-            m.retractions.incr();
-        }
-        Ok(report)
     }
 
     /// Retracts a batch of records, all-or-nothing: every id is
@@ -1354,48 +722,6 @@ impl StreamPipeline {
         Ok(self.ingest(record))
     }
 
-    /// Compacts the pipeline in place: drops tombstoned index postings,
-    /// frees emptied and cap-retired buckets, prunes dead decision-log
-    /// edges, and releases retracted records' derivations. Advances the
-    /// epoch.
-    ///
-    /// Dead postings and dead log edges were already invisible, so
-    /// dropping them never changes behavior. The one semantic edge is
-    /// cap-retired (`Dead`) bucket markers: compaction removes them, so
-    /// a formerly hot blocking key becomes pairable again until its
-    /// *live* population re-crosses the frequency cap — the state a
-    /// fresh index over the surviving records would be in. See the
-    /// retraction section of the `crate::index` module docs.
-    pub fn compact(&mut self) -> CompactionReport {
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        let index = self.index.compact(self.store.tombstones());
-        let store = self.store.compact();
-        let report = CompactionReport {
-            epoch: self.store.epoch(),
-            index,
-            store,
-        };
-        if let Some(m) = m {
-            sw.total(m.compact);
-            m.compactions.incr();
-            m.reclaimed_bytes.add(report.bytes_reclaimed() as u64);
-        }
-        report
-    }
-
-    /// Runs [`StreamPipeline::compact`] when the dead-posting fraction
-    /// has crossed the configured watermark.
-    fn maybe_autocompact(&mut self) -> Option<CompactionReport> {
-        let watermark = self.opts.compact_watermark?;
-        let (postings, dead) = self.index.posting_counts();
-        if dead > 0 && dead as f64 >= watermark * postings.max(1) as f64 {
-            Some(self.compact())
-        } else {
-            None
-        }
-    }
-
     /// Re-runs the bootstrap fit over the store's **live** records and
     /// swaps the frozen scorer for the freshly fitted model — the
     /// online half of the snapshot lifecycle.
@@ -1423,9 +749,8 @@ impl StreamPipeline {
     /// data's inferred attribute types no longer match the frozen
     /// feature layout.
     pub fn refit(&mut self) -> Result<RefreshReport, StreamError> {
-        let m = self.meters;
-        let sw = Stopwatch::new(m.is_some());
-        let divergence = self.drift.divergence();
+        let sw = Stopwatch::new(self.meters.is_some());
+        let divergence = self.topo.drift.divergence();
 
         // Snapshot the live records into a fit table. Clones are
         // unavoidable here: the fit pipeline re-derives from raw values
@@ -1433,65 +758,33 @@ impl StreamPipeline {
         // exactly as a cold bootstrap would).
         let table = self.store.table();
         let mut live = Table::new(table.name().to_string(), table.schema().clone());
-        for (i, r) in table.records().iter().enumerate() {
-            if !self.store.is_retracted(i) {
-                live.push(r.clone());
-            }
+        for (_, r) in self.live_records() {
+            live.push(r.clone());
         }
-
-        let index_cfg = self.opts.index_config();
-        let fz = PairFeaturizer::with_config(&live, &live, index_cfg.derive_config());
-        if fz.attr_types() != self.featurizer.attr_types() {
-            return Err(StreamError(
-                "refit inferred different attribute types than the frozen feature layout; \
-                 the live data has drifted structurally, not just statistically — refusing \
-                 to swap a model with a different feature space"
-                    .into(),
-            ));
-        }
-        let cs = standard_candidates_derived(
-            fz.left_derived(),
-            None,
-            PairMode::Dedup,
-            self.opts.min_token_overlap,
-            self.opts.max_bucket,
-        );
-        if cs.is_empty() {
-            return Err(StreamError(
-                "refit produced no candidate pairs; nothing to fit a model on".into(),
-            ));
-        }
-        let mut fs = fz.featurize(cs.pairs());
-        fs.normalize();
-        let mut model = GenerativeModel::new(self.opts.config.clone(), fs.layout.clone());
-        let calibrator = TransitivityCalibrator::new(cs.pairs());
-        let summary = model.fit(&fs.matrix, Some(&calibrator));
-        let ranges = fs.ranges.as_ref().expect("normalize() was called").clone();
-        let snapshot = ModelSnapshot::capture_checked(&model, &ranges, &fs.impute_means, &fs.names)
-            .ok_or_else(|| {
-                StreamError(
-                    "refit converged to non-finite model parameters (degenerate live window); \
-                     keeping the current snapshot"
-                        .into(),
-                )
-            })?;
-        debug_assert_eq!(snapshot.dim(), self.scorer.snapshot().dim());
-
-        // The swap: from here on every scoring call sees the new model.
-        self.scorer = snapshot.scorer()?;
-        self.generation += 1;
-        self.drift.rebase(self.scorer.snapshot());
-        if let Some(m) = m {
-            sw.total(m.refresh);
-            m.refreshes.incr();
-        }
+        let fit = fit_dedup(
+            &live,
+            &self.opts,
+            "refit",
+            Some(self.featurizer.attr_types()),
+        )?;
+        let snapshot =
+            ModelSnapshot::capture_checked(&fit.model, &fit.ranges, &fit.impute_means, &fit.names)
+                .ok_or_else(|| {
+                    StreamError(
+                        "refit converged to non-finite model parameters (degenerate live \
+                         window); keeping the current snapshot"
+                            .into(),
+                    )
+                })?;
+        let generation = self.swap_scorer(snapshot.scorer()?, sw);
+        self.topo.drift.rebase(&snapshot);
         Ok(RefreshReport {
             records: live.len(),
-            pairs: cs.pairs().len(),
-            em_iterations: summary.iterations,
+            pairs: fit.pairs.len(),
+            em_iterations: fit.iterations,
             divergence,
             auto: false,
-            generation: self.generation,
+            generation,
         })
     }
 
@@ -1503,10 +796,10 @@ impl StreamPipeline {
     /// window would re-attempt the fit after every subsequent call.
     fn maybe_autorefresh(&mut self) -> Option<RefreshReport> {
         let watermark = self.opts.refresh_watermark?;
-        if self.drift.window_records() < self.opts.refresh_min_records as u64 {
+        if self.topo.drift.window_records() < self.opts.refresh_min_records as u64 {
             return None;
         }
-        if self.drift.divergence() < watermark {
+        if self.topo.drift.divergence() < watermark {
             return None;
         }
         match self.refit() {
@@ -1515,7 +808,7 @@ impl StreamPipeline {
                 Some(report)
             }
             Err(_) => {
-                self.drift.clear_window();
+                self.topo.drift.clear_window();
                 None
             }
         }

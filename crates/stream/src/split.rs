@@ -43,7 +43,9 @@
 //! `bench_serve` so the cheaper persistent-structure refresh the
 //! ROADMAP plans has a baseline to beat.
 
-use crate::pipeline::{score_candidates, IngestOutcome, StreamError, StreamPipeline};
+use crate::engine::{probe_slot, score_candidates};
+use crate::link::Side;
+use crate::pipeline::{IngestOutcome, StreamError, StreamPipeline};
 use crate::shard::{RecordKeys, ShardedIndex};
 use crate::store::EntityStore;
 use crate::{CompactionReport, RetractionReport};
@@ -57,9 +59,10 @@ use zeroer_tabular::Record;
 use zeroer_textsim::derive::Deriver;
 
 /// An immutable, epoch-tagged view of a pipeline's read state: the
-/// entity store, the blocking index, and the frozen scorer. Constructed
-/// by [`StreamPipeline::read_view`], shared via `Arc` among
-/// [`ReadHandle`]s, and never mutated after publication.
+/// entity store, the blocking indexes, and the frozen scorer. Constructed
+/// by [`StreamPipeline::read_view`] (or pinned off a
+/// [`crate::LinkPipeline`]), shared via `Arc` among [`ReadHandle`]s, and
+/// never mutated after publication.
 pub struct ReadView {
     /// Pipeline epoch at pin time (advances on retraction/compaction).
     pub(crate) epoch: u64,
@@ -67,7 +70,9 @@ pub struct ReadView {
     /// handle detect staleness without comparing state.
     pub(crate) version: u64,
     pub(crate) store: EntityStore,
-    pub(crate) index: ShardedIndex,
+    /// The pipeline's blocking indexes: the dedup index, or one per
+    /// linkage side.
+    pub(crate) indexes: Vec<ShardedIndex>,
     pub(crate) featurizer: BatchFeaturizer,
     pub(crate) scorer: SnapshotScorer,
     pub(crate) threshold: f64,
@@ -149,6 +154,12 @@ impl ReadHandle {
         }
     }
 
+    /// A standalone handle over `view`: it has no write path to
+    /// refresh from.
+    pub(crate) fn standalone(view: ReadView) -> Self {
+        Self::pin(Arc::new(view), None)
+    }
+
     /// Epoch of the pinned view.
     pub fn epoch(&self) -> u64 {
         self.view.epoch
@@ -184,6 +195,13 @@ impl ReadHandle {
     /// # Panics
     /// Panics if the record arity does not match the schema.
     pub fn resolve(&mut self, record: &Record) -> ResolveOutcome {
+        self.resolve_as(record, None)
+    }
+
+    /// Resolves a record of `side` (`None` under dedup): the view's
+    /// index that ingest would probe for it, scored in ingest's pair
+    /// orientation — the read path of both topologies.
+    pub(crate) fn resolve_as(&mut self, record: &Record, side: Option<Side>) -> ResolveOutcome {
         let view = &*self.view;
         assert_eq!(
             record.values.len(),
@@ -194,14 +212,14 @@ impl ReadHandle {
         );
         let derived = self.deriver.derive(&record.values);
         let keys = RecordKeys::from_derived(&derived, self.deriver.interner());
-        let candidates = view.index.probe_live(&keys, view.store.tombstones());
+        let candidates = view.indexes[probe_slot(side)].probe_live(&keys, view.store.tombstones());
         let store = &view.store;
         let matches = score_candidates(
             &view.featurizer,
             &view.scorer,
             self.deriver.interner(),
             view.threshold,
-            false,
+            side == Some(Side::Left),
             &candidates,
             |c| store.derived(c),
             &derived,
@@ -616,6 +634,6 @@ impl StreamPipeline {
     /// cannot refresh; use [`SplitPipeline::read_handle`] for handles
     /// that follow the write path's publications).
     pub fn pin_read_handle(&self) -> ReadHandle {
-        ReadHandle::pin(Arc::new(self.read_view()), None)
+        ReadHandle::standalone(self.read_view())
     }
 }

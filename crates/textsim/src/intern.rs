@@ -44,17 +44,29 @@ impl Sym {
 /// the global interner before use (see `DerivedRecord::commit`).
 pub(crate) const LOCAL_BIT: u32 = 1 << 31;
 
+/// The 64-bit FNV-1a offset basis: the hash of no bytes, where every
+/// [`fnv1a_extend`] chain starts.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running 64-bit FNV-1a hash `h`. Chaining
+/// calls hashes the concatenation of their inputs, so a consumer can
+/// digest a sequence of fields (snapshot record digests) without
+/// building one buffer.
+#[inline]
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Stable 64-bit FNV-1a hash of a token's text. Deliberately *not*
 /// `DefaultHasher`: consumers (shard routing, snapshot digests) need a
 /// hash that is identical across processes, platforms, and std versions.
 #[inline]
 pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_extend(FNV1A_BASIS, s.as_bytes())
 }
 
 /// Append-only token table: text → [`Sym`] with first-seen-order symbol
