@@ -12,7 +12,7 @@
 //! M-steps pick up the posterior edits made by `F`'s E-step.
 
 use crate::config::ZeroErConfig;
-use crate::model::{FitSummary, GenerativeModel};
+use crate::model::{AveragingWindow, FitSummary, GenerativeModel};
 use crate::transitivity::TransitivityCalibrator;
 use std::collections::{BTreeMap, HashMap};
 use zeroer_linalg::block::GroupLayout;
@@ -248,8 +248,8 @@ impl LinkageModel {
         let n = cross.features.rows().max(1) as f64;
         let mut ll_history: Vec<f64> = Vec::new();
         let mut converged = false;
-        let window = self.config.averaging_window;
-        let mut recent: Vec<Vec<f64>> = Vec::new();
+        let mut recent =
+            AveragingWindow::new(self.config.averaging_window, self.config.max_iterations);
         let mut iterations = 0;
 
         // Prime F so its first E-step has parameters.
@@ -287,10 +287,7 @@ impl LinkageModel {
             }
 
             ll_history.push(ll);
-            if recent.len() == window {
-                recent.remove(0);
-            }
-            recent.push(f.gammas().to_vec());
+            recent.record(iter, f.gammas());
             if iter > 0 {
                 let prev = ll_history[iter - 1];
                 if ((ll - prev).abs() / n) < self.config.tolerance {
@@ -301,11 +298,8 @@ impl LinkageModel {
         }
 
         let mut cross_gammas = f.gammas().to_vec();
-        if !converged && recent.len() > 1 {
-            let k = recent.len() as f64;
-            for (i, g) in cross_gammas.iter_mut().enumerate() {
-                *g = recent.iter().map(|v| v[i]).sum::<f64>() / k;
-            }
+        if !converged {
+            recent.average_into(&mut cross_gammas);
         }
         let cross_labels = cross_gammas.iter().map(|&g| g > 0.5).collect();
 

@@ -1,4 +1,25 @@
 //! The two-component generative model and its EM algorithm (Algorithm 1).
+//!
+//! ## The E-step kernel
+//!
+//! [`GenerativeModel::e_step`] runs on the batched kernels the streaming
+//! scorer uses. The rows are cut into fixed chunks of 2,048 rows. Each
+//! chunk is transposed into a reused column-major [`ColMatrix`], and
+//! both class log-densities come from [`BlockGaussian::log_pdf_batch`],
+//! one pass per covariance block. Scoped worker threads, as many as
+//! `featurize` uses (`available_parallelism`, at most 8), each take a
+//! contiguous run of chunks; with only one chunk the step runs inline.
+//!
+//! The result is bit-identical to the per-row scalar loop at any thread
+//! count:
+//!
+//! - the batched density is bit-identical per row to
+//!   [`BlockGaussian::log_pdf`];
+//! - each row writes only its own `γ_i` and its own expected
+//!   log-likelihood term `γ_i·lm + (1−γ_i)·lu`;
+//! - the terms are added into the Eq. 4 total serially, in row order,
+//!   after the workers join: the same additions in the same order as
+//!   the scalar loop.
 
 use crate::config::{FeatureDependence, Regularization, ZeroErConfig};
 use crate::transitivity::TransitivityCalibrator;
@@ -8,11 +29,16 @@ use zeroer_linalg::stats::{
     correlation_to_covariance, covariance_to_correlation, l2_norm, weighted_covariance,
     weighted_mean, weighted_variances,
 };
-use zeroer_linalg::{Matrix, VARIANCE_FLOOR};
+use zeroer_linalg::{ColMatrix, MahalanobisScratch, Matrix, VARIANCE_FLOOR};
 
 /// Guard keeping the Bernoulli prior away from exactly 0/1 so log π stays
 /// finite when one component momentarily empties out.
 const PRIOR_FLOOR: f64 = 1e-9;
+
+/// Rows per E-step chunk: the unit of work of one batched density pass
+/// (see the module docs). Fixed, so the chunking never depends on the
+/// thread count.
+const E_STEP_CHUNK: usize = 2048;
 
 /// The Eq. 3 posterior softmax: `γ = exp(lm) / (exp(lm) + exp(lu))`,
 /// evaluated stably in the log domain, where `lm = log π_M + log p_M(x)`
@@ -260,21 +286,59 @@ impl GenerativeModel {
     /// The E-step (Eq. 3): recomputes posteriors in the log domain and
     /// returns the expected log-likelihood (Eq. 4).
     ///
+    /// Runs chunked and in parallel on the batched density kernels; the
+    /// result is bit-identical to a per-row [`BlockGaussian::log_pdf`]
+    /// loop at any thread count (see the module docs).
+    ///
     /// # Panics
-    /// Panics if called before the first M-step.
+    /// Panics if called before the first M-step, or if `x` has a
+    /// different number of rows than the model has posteriors.
     pub fn e_step(&mut self, x: &Matrix) -> f64 {
+        let threads = std::thread::available_parallelism()
+            .map_or(1, |p| p.get())
+            .min(8);
+        self.e_step_on(x, threads)
+    }
+
+    /// [`GenerativeModel::e_step`] on at most `threads` workers.
+    fn e_step_on(&mut self, x: &Matrix, threads: usize) -> f64 {
         let m_dist = self.m_dist.as_ref().expect("e_step before m_step");
         let u_dist = self.u_dist.as_ref().expect("e_step before m_step");
-        let log_pi_m = self.pi_m.ln();
-        let log_pi_u = (1.0 - self.pi_m).ln();
+        assert_eq!(
+            self.gammas.len(),
+            x.rows(),
+            "model not initialized for this matrix"
+        );
+        let kernel = EStepKernel {
+            x,
+            m_dist,
+            u_dist,
+            log_pi_m: self.pi_m.ln(),
+            log_pi_u: (1.0 - self.pi_m).ln(),
+        };
+        let mut terms = vec![0.0f64; x.rows()];
+        let chunks = x.rows().div_ceil(E_STEP_CHUNK);
+        let threads = threads.min(chunks);
+        if threads <= 1 {
+            kernel.run(0, &mut self.gammas, &mut terms);
+        } else {
+            let rows_per_worker = chunks.div_ceil(threads) * E_STEP_CHUNK;
+            let kernel = &kernel;
+            std::thread::scope(|scope| {
+                for (w, (gammas, terms)) in self
+                    .gammas
+                    .chunks_mut(rows_per_worker)
+                    .zip(terms.chunks_mut(rows_per_worker))
+                    .enumerate()
+                {
+                    scope.spawn(move || kernel.run(w * rows_per_worker, gammas, terms));
+                }
+            });
+        }
+        // Eq. 4, summed in row order whatever the thread count.
         let mut ll = 0.0;
-        for i in 0..x.rows() {
-            let row = x.row(i);
-            let lm = log_pi_m + m_dist.log_pdf(row);
-            let lu = log_pi_u + u_dist.log_pdf(row);
-            let gm = eq3_posterior(lm, lu);
-            self.gammas[i] = gm;
-            ll += gm * lm + (1.0 - gm) * lu;
+        for t in terms {
+            ll += t;
         }
         ll
     }
@@ -300,11 +364,8 @@ impl GenerativeModel {
         let n = x.rows().max(1) as f64;
         let mut ll_history = Vec::new();
         let mut converged = false;
-        let window = self.config.averaging_window;
         let max_iter = self.config.max_iterations;
-        // Ring buffer of the last `window` posterior vectors for §6's
-        // averaging fallback.
-        let mut recent: Vec<Vec<f64>> = Vec::new();
+        let mut recent = AveragingWindow::new(self.config.averaging_window, max_iter);
 
         let mut iterations = 0;
         for iter in 0..max_iter {
@@ -317,10 +378,7 @@ impl GenerativeModel {
                 }
             }
             ll_history.push(ll);
-            if recent.len() == window {
-                recent.remove(0);
-            }
-            recent.push(self.gammas.clone());
+            recent.record(iter, &self.gammas);
             if iter > 0 {
                 let prev = ll_history[iter - 1];
                 if ((ll - prev).abs() / n) < self.config.tolerance {
@@ -330,13 +388,8 @@ impl GenerativeModel {
             }
         }
 
-        if !converged && recent.len() > 1 {
-            // §6: average the posteriors over the last `window` iterations
-            // when terminating on the iteration cap.
-            let k = recent.len() as f64;
-            for i in 0..self.gammas.len() {
-                self.gammas[i] = recent.iter().map(|g| g[i]).sum::<f64>() / k;
-            }
+        if !converged {
+            recent.average_into(&mut self.gammas);
         }
 
         FitSummary {
@@ -382,6 +435,94 @@ impl GenerativeModel {
         let lm = self.pi_m.ln() + m_dist.log_pdf(row);
         let lu = (1.0 - self.pi_m).ln() + u_dist.log_pdf(row);
         eq3_posterior(lm, lu)
+    }
+}
+
+/// One E-step's read-only inputs, shared by the chunk workers.
+struct EStepKernel<'a> {
+    x: &'a Matrix,
+    m_dist: &'a BlockGaussian,
+    u_dist: &'a BlockGaussian,
+    log_pi_m: f64,
+    log_pi_u: f64,
+}
+
+impl EStepKernel<'_> {
+    /// Computes `γ_i` and the Eq. 4 term of rows `first..first + gammas.len()`,
+    /// one [`E_STEP_CHUNK`] at a time through reused buffers.
+    fn run(&self, first: usize, gammas: &mut [f64], terms: &mut [f64]) {
+        let d = self.x.cols();
+        let data = self.x.as_slice();
+        let mut cols = ColMatrix::new();
+        let mut maha = MahalanobisScratch::default();
+        let (mut dens_m, mut dens_u) = (Vec::new(), Vec::new());
+        for (c, (gammas, terms)) in gammas
+            .chunks_mut(E_STEP_CHUNK)
+            .zip(terms.chunks_mut(E_STEP_CHUNK))
+            .enumerate()
+        {
+            let start = first + c * E_STEP_CHUNK;
+            let rows = gammas.len();
+            cols.reset(rows, d);
+            for j in 0..d {
+                for (r, v) in cols.col_mut(j).iter_mut().enumerate() {
+                    *v = data[(start + r) * d + j];
+                }
+            }
+            dens_m.resize(rows, 0.0);
+            dens_u.resize(rows, 0.0);
+            self.m_dist.log_pdf_batch(&cols, &mut maha, &mut dens_m);
+            self.u_dist.log_pdf_batch(&cols, &mut maha, &mut dens_u);
+            for (((g, t), &pm), &pu) in gammas.iter_mut().zip(terms).zip(&dens_m).zip(&dens_u) {
+                let lm = self.log_pi_m + pm;
+                let lu = self.log_pi_u + pu;
+                let gm = eq3_posterior(lm, lu);
+                *g = gm;
+                *t = gm * lm + (1.0 - gm) * lu;
+            }
+        }
+    }
+}
+
+/// The posteriors of the last `window` EM iterations, for §6's averaging
+/// fallback when a run stops at the iteration cap.
+///
+/// Only iterations that can still fall inside the final window are kept
+/// (`iter + window >= max_iterations`): a run that converges earlier
+/// never reads them, so holding a copy of every iteration's posteriors
+/// would only cost memory.
+pub(crate) struct AveragingWindow {
+    window: usize,
+    max_iterations: usize,
+    recent: Vec<Vec<f64>>,
+}
+
+impl AveragingWindow {
+    pub(crate) fn new(window: usize, max_iterations: usize) -> Self {
+        Self {
+            window,
+            max_iterations,
+            recent: Vec::new(),
+        }
+    }
+
+    /// Keeps a copy of iteration `iter`'s posteriors if it can be among
+    /// the last `window` iterations of a run that hits the cap.
+    pub(crate) fn record(&mut self, iter: usize, gammas: &[f64]) {
+        if iter + self.window >= self.max_iterations {
+            self.recent.push(gammas.to_vec());
+        }
+    }
+
+    /// Overwrites `gammas` with the mean of the kept posteriors, when
+    /// there are at least two of them.
+    pub(crate) fn average_into(&self, gammas: &mut [f64]) {
+        if self.recent.len() > 1 {
+            let k = self.recent.len() as f64;
+            for (i, g) in gammas.iter_mut().enumerate() {
+                *g = self.recent.iter().map(|v| v[i]).sum::<f64>() / k;
+            }
+        }
     }
 }
 
@@ -563,6 +704,78 @@ mod tests {
         let s = m.fit(&x, None);
         assert!(s.iterations >= 1);
         assert!(m.gammas()[0].is_finite());
+    }
+
+    #[test]
+    fn chunked_e_step_is_bit_identical_to_scalar_rows() {
+        // A ragged matrix: three full chunks plus a partial one.
+        let n = 3 * E_STEP_CHUNK + 17;
+        let (x, _) = easy_data(n / 10, n - n / 10, &[2, 3, 1], 11);
+        assert_eq!(x.rows(), n);
+        let mut m =
+            GenerativeModel::new(ZeroErConfig::default(), GroupLayout::from_sizes(&[2, 3, 1]));
+        m.initialize(&x);
+        m.m_step(&x);
+
+        // The reference: the per-row scalar loop.
+        let (m_dist, u_dist) = (m.m_dist.clone().unwrap(), m.u_dist.clone().unwrap());
+        let (log_pi_m, log_pi_u) = (m.pi_m.ln(), (1.0 - m.pi_m).ln());
+        let mut want_gammas = vec![0.0; n];
+        let mut want_ll = 0.0;
+        for (i, g) in want_gammas.iter_mut().enumerate() {
+            let lm = log_pi_m + m_dist.log_pdf(x.row(i));
+            let lu = log_pi_u + u_dist.log_pdf(x.row(i));
+            *g = eq3_posterior(lm, lu);
+            want_ll += *g * lm + (1.0 - *g) * lu;
+        }
+
+        for threads in [1, 2, 3, 4, 8] {
+            let ll = m.e_step_on(&x, threads);
+            assert_eq!(ll.to_bits(), want_ll.to_bits(), "ll at {threads} threads");
+            for (i, (g, w)) in m.gammas().iter().zip(&want_gammas).enumerate() {
+                assert_eq!(g.to_bits(), w.to_bits(), "row {i} at {threads} threads");
+            }
+        }
+        assert_eq!(m.e_step(&x).to_bits(), want_ll.to_bits());
+    }
+
+    #[test]
+    fn capped_run_averages_the_same_posteriors_as_full_retention() {
+        // Unstructured data, so EM is still moving at the cap.
+        let mut rng = StdRng::seed_from_u64(12);
+        let x = Matrix::from_vec(200, 4, (0..800).map(|_| rng.gen_range(0.0..1.0)).collect());
+        for window in [3, 10] {
+            let cfg = ZeroErConfig {
+                tolerance: f64::MIN_POSITIVE,
+                max_iterations: 6,
+                averaging_window: window,
+                transitivity: false,
+                ..Default::default()
+            };
+            let layout = GroupLayout::from_sizes(&[2, 2]);
+            let mut got = GenerativeModel::new(cfg.clone(), layout.clone());
+            let summary = got.fit(&x, None);
+            assert!(!summary.converged, "the run must stop at the cap");
+
+            // The reference keeps every iteration's posteriors in a ring
+            // of `window` entries.
+            let mut want = GenerativeModel::new(cfg.clone(), layout);
+            want.initialize(&x);
+            let mut ring: Vec<Vec<f64>> = Vec::new();
+            for _ in 0..cfg.max_iterations {
+                want.m_step(&x);
+                want.e_step(&x);
+                if ring.len() == window {
+                    ring.remove(0);
+                }
+                ring.push(want.gammas().to_vec());
+            }
+            let k = ring.len() as f64;
+            for (i, g) in got.gammas().iter().enumerate() {
+                let avg = ring.iter().map(|v| v[i]).sum::<f64>() / k;
+                assert_eq!(g.to_bits(), avg.to_bits(), "window {window} row {i}");
+            }
+        }
     }
 
     #[test]

@@ -84,9 +84,21 @@ impl FeatureSet {
 
 /// Computes one similarity value from derived attribute views, `NaN`
 /// when either side is missing. This is the single scoring kernel shared
-/// by the batch featurizer and the streaming [`RowFeaturizer`]; both
-/// views must come from derivations over `interner`.
-fn sim_value(f: SimFunction, interner: &Interner, l: AttrView<'_>, r: AttrView<'_>) -> f64 {
+/// by the batch featurizer, the streaming [`RowFeaturizer`] and the
+/// column-fill [`BatchFeaturizer`]; both views must come from derivations
+/// over `interner`.
+///
+/// The sequence measures run through the `scratch`-reusing `*_with`
+/// kernels, which execute the same operation sequence as the allocating
+/// forms they shadow, so the value does not depend on the scratch's
+/// history — only the allocator traffic does.
+fn sim_value(
+    scratch: &mut SimScratch,
+    f: SimFunction,
+    interner: &Interner,
+    l: AttrView<'_>,
+    r: AttrView<'_>,
+) -> f64 {
     if !(l.present && r.present) {
         return f64::NAN;
     }
@@ -102,36 +114,15 @@ fn sim_value(f: SimFunction, interner: &Interner, l: AttrView<'_>, r: AttrView<'
         SimFunction::JaccardQgm3 | SimFunction::CosineQgm3 => {
             f.apply_tokens(interner, l.qgm3, r.qgm3)
         }
+        SimFunction::MongeElkan => monge_elkan_with(scratch, interner, l.word, r.word),
         SimFunction::JaccardWord
         | SimFunction::CosineWord
         | SimFunction::DiceWord
-        | SimFunction::OverlapWord
-        | SimFunction::MongeElkan => f.apply_tokens(interner, l.word, r.word),
-        _ => f.apply_text(l.text, r.text),
-    }
-}
-
-/// [`sim_value`] with the allocation-heavy sequence kernels routed
-/// through `scratch`-reusing variants. Bit-identical to [`sim_value`]
-/// (the `*_with` kernels execute the same operation sequence as the
-/// allocating forms they shadow); strictly faster in a loop because the
-/// DP buffers are reused across calls.
-fn sim_value_with(
-    scratch: &mut SimScratch,
-    f: SimFunction,
-    interner: &Interner,
-    l: AttrView<'_>,
-    r: AttrView<'_>,
-) -> f64 {
-    if !(l.present && r.present) {
-        return f64::NAN;
-    }
-    match f {
+        | SimFunction::OverlapWord => f.apply_tokens(interner, l.word, r.word),
         SimFunction::Levenshtein => levenshtein_sim_with(scratch, l.text, r.text),
         SimFunction::JaroWinkler => jaro_winkler_with(scratch, l.text, r.text),
         SimFunction::NeedlemanWunsch => needleman_wunsch_with(scratch, l.text, r.text),
-        SimFunction::MongeElkan => monge_elkan_with(scratch, interner, l.word, r.word),
-        _ => sim_value(f, interner, l, r),
+        _ => f.apply_text(l.text, r.text),
     }
 }
 
@@ -252,18 +243,16 @@ impl PairFeaturizer {
         (self.interner, self.left)
     }
 
-    /// Consumes a *cross-table* featurizer, yielding its interner and
-    /// both tables' derived records — the streaming-linkage bootstrap
-    /// hands these to the entity store so neither table is derived
-    /// twice, and both sides' token bags stay directly comparable (one
-    /// symbol space).
+    /// Consumes a featurizer, yielding its interner and both sides'
+    /// derived records — the streaming-linkage bootstrap hands these to
+    /// the entity store so neither table is derived twice, and both
+    /// sides' token bags stay directly comparable (one symbol space).
     ///
-    /// # Panics
-    /// Panics on a dedup featurizer (use [`PairFeaturizer::into_parts`]).
+    /// A featurizer built over one table on both sides (the dedup shape,
+    /// which also arises when a table is linked against itself) derived
+    /// that table once; both sides then get that one derivation.
     pub fn into_parts_cross(self) -> (Interner, Vec<DerivedRecord>, Vec<DerivedRecord>) {
-        let right = self
-            .right
-            .expect("into_parts_cross is only meaningful for cross-table featurizers");
+        let right = self.right.unwrap_or_else(|| self.left.clone());
         (self.interner, self.left, right)
     }
 
@@ -290,7 +279,7 @@ impl PairFeaturizer {
 
     /// Fills one pair's feature row. `NaN` marks not-computable (missing
     /// value on either side); imputation happens in [`Self::featurize`].
-    fn fill_row(&self, li: usize, ri: usize, out: &mut [f64]) {
+    fn fill_row(&self, scratch: &mut SimScratch, li: usize, ri: usize, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.dim);
         let (left, right) = (&self.left[li], &self.right_derived()[ri]);
         let mut col = 0;
@@ -298,14 +287,16 @@ impl PairFeaturizer {
             let lv = left.view(a);
             let rv = right.view(a);
             for &f in *funcs {
-                out[col] = sim_value(f, &self.interner, lv, rv);
+                out[col] = sim_value(scratch, f, &self.interner, lv, rv);
                 col += 1;
             }
         }
     }
 
     /// Generates the feature matrix for `pairs` (record *indices* into the
-    /// left/right tables), parallelized over row chunks.
+    /// left/right tables), parallelized over row chunks: one scoped
+    /// thread per chunk, each reusing one [`SimScratch`] for every pair
+    /// it fills.
     ///
     /// Missing similarities (`NaN`) are imputed with the column mean of
     /// the computable rows; an all-missing column becomes all zeros.
@@ -323,9 +314,10 @@ impl PairFeaturizer {
                 let start = chunk_idx * chunk_rows;
                 let this = &*self;
                 scope.spawn(move |_| {
+                    let mut scratch = SimScratch::new();
                     for (row_off, row) in out_chunk.chunks_mut(d).enumerate() {
                         let (li, ri) = pairs[start + row_off];
-                        this.fill_row(li, ri, row);
+                        this.fill_row(&mut scratch, li, ri, row);
                     }
                 });
             }
@@ -435,11 +427,12 @@ impl RowFeaturizer {
         );
         out.clear();
         out.reserve(self.dim);
+        let mut scratch = SimScratch::new();
         for (a, funcs) in self.functions.iter().enumerate() {
             let lv = left.view(a);
             let rv = right.view(a);
             for &f in *funcs {
-                out.push(sim_value(f, interner, lv, rv));
+                out.push(sim_value(&mut scratch, f, interner, lv, rv));
             }
         }
     }
@@ -605,7 +598,7 @@ impl BatchFeaturizer {
                     vals.clear();
                     for &p in &reps {
                         let (lv, rv) = views[p];
-                        vals.push(sim_value_with(&mut scratch, f, interner, lv, rv));
+                        vals.push(sim_value(&mut scratch, f, interner, lv, rv));
                     }
                     for (o, &s) in out.col_mut(col).iter_mut().zip(&slot_of) {
                         *o = vals[s as usize];
@@ -615,7 +608,7 @@ impl BatchFeaturizer {
             } else {
                 for &f in *funcs {
                     for (o, &(lv, rv)) in out.col_mut(col).iter_mut().zip(&views) {
-                        *o = sim_value_with(&mut scratch, f, interner, lv, rv);
+                        *o = sim_value(&mut scratch, f, interner, lv, rv);
                     }
                     col += 1;
                 }
@@ -786,6 +779,14 @@ mod tests {
     }
 
     #[test]
+    fn into_parts_cross_of_a_self_featurizer_repeats_the_derivation() {
+        let (l, _) = restaurant_tables();
+        let (_, left, right) = PairFeaturizer::new(&l, &l).into_parts_cross();
+        assert_eq!(left.len(), l.len());
+        assert_eq!(left, right);
+    }
+
+    #[test]
     fn batch_featurizer_columns_match_row_featurizer_bitwise() {
         let (l, r) = restaurant_tables();
         let fz = PairFeaturizer::with_config(&l, &r, DeriveConfig::blocking(0, 4));
@@ -912,5 +913,44 @@ mod tests {
                 assert_eq!(v.to_bits(), batch.to_bits(), "row {i} col {j}");
             }
         }
+    }
+
+    #[test]
+    fn featurize_rows_match_row_featurizer_bitwise_on_a_corpus_slice() {
+        let spec = zeroer_datagen::CorpusSpec {
+            scale: 0.025,
+            ..Default::default()
+        };
+        let corpus = zeroer_datagen::generate_dedup(&spec).expect("valid spec");
+        let mut t = Table::new("slice", corpus.table.schema().clone());
+        for r in corpus.table.records().iter().take(120) {
+            t.push(r.clone());
+        }
+        let fz = PairFeaturizer::new(&t, &t);
+        let pairs: Vec<(usize, usize)> = (0..t.len())
+            .flat_map(|i| (i + 1..t.len()).map(move |j| (i, j)))
+            .collect();
+        let fs = fz.featurize(&pairs);
+        let row_fz = RowFeaturizer::new(fz.attr_types());
+        let derived = fz.left_derived();
+        let mut raw = Vec::new();
+        let mut imputed = 0;
+        for (i, &(li, ri)) in pairs.iter().enumerate() {
+            row_fz.raw_row_into(fz.interner(), &derived[li], &derived[ri], &mut raw);
+            for (j, &v) in raw.iter().enumerate() {
+                let want = if v.is_nan() {
+                    imputed += 1;
+                    fs.impute_means[j]
+                } else {
+                    v
+                };
+                assert_eq!(
+                    fs.matrix[(i, j)].to_bits(),
+                    want.to_bits(),
+                    "row {i} col {j}"
+                );
+            }
+        }
+        assert!(imputed > 0, "the slice must exercise missing values");
     }
 }

@@ -22,8 +22,13 @@
 //! blockers and the streaming subsystem. See `crates/features/README.md`
 //! for the design note.
 //!
-//! Feature generation is embarrassingly parallel over pairs and is chunked
-//! across threads with `crossbeam`.
+//! Every similarity value — batch feature matrix, streaming row, or
+//! column-major batch — comes from one dispatcher, `sim_value`, which
+//! runs the sequence measures through a reused
+//! [`zeroer_textsim::SimScratch`]. Batch feature generation is
+//! embarrassingly parallel over pairs: [`PairFeaturizer::featurize`]
+//! splits the rows into one chunk per scoped thread, and each thread
+//! owns one scratch for all of its pairs.
 
 pub mod generator;
 pub mod registry;

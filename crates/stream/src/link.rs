@@ -600,6 +600,23 @@ mod tests {
     }
 
     #[test]
+    fn a_table_links_against_itself() {
+        let t = left_table();
+        let (p, report) =
+            LinkPipeline::bootstrap(&t, &t, StreamOptions::default()).expect("bootstrap");
+        assert!(!report.pairs.is_empty());
+        let links = p.cross_links();
+        assert!(!links.is_empty(), "a table must link to its own copy");
+        let nl = t.len();
+        for i in 0..nl {
+            assert!(
+                links.contains(&(i, nl + i)),
+                "record {i} must link to itself"
+            );
+        }
+    }
+
+    #[test]
     fn bootstrap_links_obvious_cross_pairs() {
         let (p, report) = pipeline();
         assert!(report.em_iterations >= 1);
