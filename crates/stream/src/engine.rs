@@ -467,15 +467,22 @@ impl<T: Topology> Pipeline<T> {
         self.generation
     }
 
-    /// Clones the read state into an immutable, epoch-tagged
-    /// [`ReadView`] (version 0 — a publisher stamps the real sequence
-    /// number): the store, the blocking indexes, and the frozen
-    /// featurizer/scorer pair.
+    /// Pins the read state as an immutable, epoch-tagged [`ReadView`]
+    /// (version 0 — a publisher stamps the real sequence number): the
+    /// store's resolve-side state, the blocking indexes, and the frozen
+    /// featurizer/scorer pair. Shares rather than copies the bulk (see
+    /// [`ReadView`]).
     pub(crate) fn view(&self) -> ReadView {
+        let store = &self.store;
         ReadView {
-            epoch: self.store.epoch(),
+            epoch: store.epoch(),
             version: 0,
-            store: self.store.clone(),
+            interner: store.interner().clone(),
+            derive_config: store.derive_config(),
+            arity: store.table().schema().arity(),
+            derived: store.derived_shared().to_vec(),
+            tombstones: store.tombstones().to_vec(),
+            clusters: store.union_find().clone(),
             indexes: self.indexes.clone(),
             featurizer: self.featurizer.clone(),
             scorer: self.scorer.clone(),

@@ -44,8 +44,17 @@
 
 use crate::shard::RecordKeys;
 use std::collections::HashMap;
+use zeroer_textsim::cow::PartMap;
+#[cfg(test)]
+use zeroer_textsim::cow::Sharing;
 use zeroer_textsim::derive::{BlockSpec, DeriveConfig};
 use zeroer_textsim::intern::Sym;
+
+/// Copy-on-write parts per leg's bucket map: a published read view
+/// shares every part, and a record's insert or retraction copies only
+/// the parts its keys land in (a few dozen buckets each at the corpus
+/// scales the benchmarks run).
+const LEG_PARTS: usize = 64;
 
 /// Configuration for [`IncrementalIndex`], mirroring the defaults of the
 /// batch pipeline's blocker (`MatchOptions`).
@@ -113,6 +122,15 @@ enum Bucket {
 #[inline]
 pub(crate) fn is_dead(tombstones: &[bool], idx: usize) -> bool {
     tombstones.get(idx).copied().unwrap_or(false)
+}
+
+/// Counts each live member of a bucket once into `counts`.
+fn count_live(members: &[usize], counts: &mut HashMap<usize, usize>, tombstones: &[bool]) {
+    for &m in members {
+        if !is_dead(tombstones, m) {
+            *counts.entry(m).or_insert(0) += 1;
+        }
+    }
 }
 
 /// Live/retired bucket counts of one blocking leg.
@@ -189,10 +207,11 @@ impl CompactionDelta {
 /// One blocking leg: an inverted index with the frequency cap, keyed by
 /// interned symbol. Shared by the unsharded [`IncrementalIndex`] and the
 /// key-space shards of [`crate::shard::ShardedIndex`] — each key's bucket
-/// evolves identically no matter which structure owns it.
+/// evolves identically no matter which structure owns it. The bucket map
+/// is a copy-on-write [`PartMap`], so cloning a leg copies pointers.
 #[derive(Debug, Clone)]
 pub(crate) struct Leg {
-    buckets: HashMap<Sym, Bucket>,
+    buckets: PartMap<Sym, Bucket>,
     max_bucket: usize,
     /// Postings stored in live buckets (dead-marked ones included).
     postings: usize,
@@ -203,17 +222,45 @@ pub(crate) struct Leg {
 impl Leg {
     pub(crate) fn new(max_bucket: usize) -> Self {
         Self {
-            buckets: HashMap::new(),
+            buckets: PartMap::new(LEG_PARTS),
             max_bucket,
             postings: 0,
             dead_postings: 0,
         }
     }
 
+    /// Posts record `idx` under `key`, first handing the bucket's
+    /// current members to `seen`. The frequency cap counts live members
+    /// only, so a bucket's retirement point is where a fresh index over
+    /// the surviving records would retire it; a post that crosses the
+    /// cap retires the bucket instead (batch semantics would never pair
+    /// through the key) and sees nothing. A cap-retired key is checked
+    /// before any write, so it never copies a shared part.
+    fn post(&mut self, idx: usize, key: Sym, seen: impl FnOnce(&[usize])) {
+        if let Some(Bucket::Dead) = self.buckets.get(&key) {
+            return;
+        }
+        let bucket = self.buckets.get_or_insert_with(key, || Bucket::Live {
+            members: Vec::new(),
+            dead: 0,
+        });
+        let Bucket::Live { members, dead } = bucket else {
+            unreachable!("retired buckets returned above");
+        };
+        if members.len() - *dead as usize + 1 > self.max_bucket {
+            self.postings -= members.len();
+            self.dead_postings -= *dead as usize;
+            *bucket = Bucket::Dead;
+            return;
+        }
+        seen(members);
+        members.push(idx);
+        self.postings += 1;
+    }
+
     /// Collects the *live* members sharing `key` into `counts`, then
-    /// inserts the new record under the key. The frequency cap counts
-    /// live members only, so a bucket's retirement point is where a
-    /// fresh index over the surviving records would retire it.
+    /// inserts the new record under the key (see [`Leg::post`] for the
+    /// frequency cap).
     pub(crate) fn insert_key(
         &mut self,
         idx: usize,
@@ -221,30 +268,7 @@ impl Leg {
         counts: &mut HashMap<usize, usize>,
         tombstones: &[bool],
     ) {
-        let bucket = self.buckets.entry(key).or_insert_with(|| Bucket::Live {
-            members: Vec::new(),
-            dead: 0,
-        });
-        match bucket {
-            Bucket::Dead => {}
-            Bucket::Live { members, dead } => {
-                if members.len() - *dead as usize + 1 > self.max_bucket {
-                    // Crossing the cap: batch semantics would never
-                    // pair through this key, so retire it.
-                    self.postings -= members.len();
-                    self.dead_postings -= *dead as usize;
-                    *bucket = Bucket::Dead;
-                    return;
-                }
-                for &m in members.iter() {
-                    if !is_dead(tombstones, m) {
-                        *counts.entry(m).or_insert(0) += 1;
-                    }
-                }
-                members.push(idx);
-                self.postings += 1;
-            }
-        }
+        self.post(idx, key, |members| count_live(members, counts, tombstones));
     }
 
     /// Collects the *live* members sharing `key` into `counts` without
@@ -259,11 +283,7 @@ impl Leg {
         tombstones: &[bool],
     ) {
         if let Some(Bucket::Live { members, .. }) = self.buckets.get(&key) {
-            for &m in members {
-                if !is_dead(tombstones, m) {
-                    *counts.entry(m).or_insert(0) += 1;
-                }
-            }
+            count_live(members, counts, tombstones);
         }
     }
 
@@ -274,23 +294,7 @@ impl Leg {
     /// record's candidates come from the opposite side's index and its
     /// own side's index only needs the posting.
     pub(crate) fn insert_key_silent(&mut self, idx: usize, key: Sym) {
-        let bucket = self.buckets.entry(key).or_insert_with(|| Bucket::Live {
-            members: Vec::new(),
-            dead: 0,
-        });
-        match bucket {
-            Bucket::Dead => {}
-            Bucket::Live { members, dead } => {
-                if members.len() - *dead as usize + 1 > self.max_bucket {
-                    self.postings -= members.len();
-                    self.dead_postings -= *dead as usize;
-                    *bucket = Bucket::Dead;
-                } else {
-                    members.push(idx);
-                    self.postings += 1;
-                }
-            }
-        }
+        self.post(idx, key, |_| {});
     }
 
     /// [`Leg::insert_key`] over every key, counting shared keys per
@@ -311,14 +315,19 @@ impl Leg {
     /// until [`Leg::compact`]). Returns whether a posting was found —
     /// false when the bucket was already cap-retired at insert time.
     pub(crate) fn retract_key(&mut self, idx: usize, key: Sym) -> bool {
-        match self.buckets.get_mut(&key) {
-            Some(Bucket::Live { members, dead }) if members.contains(&idx) => {
-                *dead += 1;
-                self.dead_postings += 1;
-                true
-            }
-            _ => false,
+        // Look before writing: a miss must not copy a shared part.
+        let hit = matches!(
+            self.buckets.get(&key),
+            Some(Bucket::Live { members, .. }) if members.contains(&idx)
+        );
+        if !hit {
+            return false;
         }
+        if let Some(Bucket::Live { dead, .. }) = self.buckets.get_mut(&key) {
+            *dead += 1;
+        }
+        self.dead_postings += 1;
+        true
     }
 
     /// Drops every tombstoned posting, frees buckets left empty, and
@@ -374,6 +383,12 @@ impl Leg {
             }
         }
         s
+    }
+
+    /// How many of this leg's bucket-map parts `other` shares.
+    #[cfg(test)]
+    pub(crate) fn sharing(&self, other: &Leg) -> Sharing {
+        self.buckets.sharing(&other.buckets)
     }
 
     /// Merges another leg's stats into an accumulator (sharded form).

@@ -34,6 +34,8 @@
 
 use crate::index::{merge_candidates, CompactionDelta, IndexConfig, IndexStats, Leg};
 use std::collections::HashMap;
+#[cfg(test)]
+use zeroer_textsim::cow::Sharing;
 use zeroer_textsim::derive::DerivedRecord;
 use zeroer_textsim::intern::{fnv1a, Interner, Sym};
 
@@ -203,6 +205,21 @@ impl ShardedIndex {
             }
         }
         stats
+    }
+
+    /// How many of this index's bucket-map parts `other` shares (a
+    /// published view shares all of them until the writer's next insert
+    /// or retraction copies the parts its keys land in).
+    #[cfg(test)]
+    pub(crate) fn sharing(&self, other: &ShardedIndex) -> Sharing {
+        let mut out = Sharing::default();
+        for (mine, theirs) in self.shards.iter().zip(&other.shards) {
+            out.absorb(mine.token_leg.sharing(&theirs.token_leg));
+            if let (Some(m), Some(t)) = (&mine.qgram_leg, &theirs.qgram_leg) {
+                out.absorb(m.sharing(t));
+            }
+        }
+        out
     }
 
     #[inline]
@@ -635,6 +652,83 @@ mod tests {
                 "shards={shards}: compaction clears every dead posting"
             );
         }
+    }
+
+    #[test]
+    fn index_clone_is_isolated_across_insert_retract_and_compact() {
+        let cfg = IndexConfig {
+            max_bucket: 6,
+            ..IndexConfig::default()
+        };
+        let mut deriver = Deriver::new(cfg.derive_config());
+        let names: Vec<String> = (0..240)
+            .map(|i| format!("{} {} item{i}", NAMES[i % NAMES.len()], i % 7))
+            .collect();
+        let keys: Vec<RecordKeys> = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| keys_of(&mut deriver, &rec(i as u32, n)))
+            .collect();
+        let probes: Vec<RecordKeys> = NAMES
+            .iter()
+            .chain(["item7", "red 3 item100", "sky 5"].iter())
+            .enumerate()
+            .map(|(i, n)| keys_of(&mut deriver, &rec(1000 + i as u32, n)))
+            .collect();
+        let (base, later) = keys.split_at(120);
+        let mut tombstones = vec![false; keys.len()];
+        let mut index = ShardedIndex::with_shards(cfg.clone(), 4);
+        let mut never_cloned = ShardedIndex::with_shards(cfg, 4);
+        for k in base {
+            index.insert_keys_live(k.clone(), &tombstones);
+            never_cloned.insert_keys_live(k.clone(), &tombstones);
+        }
+        let frozen = index.clone();
+        let frozen_tombstones = tombstones.clone();
+        let answers = |ix: &ShardedIndex, t: &[bool]| -> Vec<Vec<usize>> {
+            probes.iter().map(|k| ix.probe_live(k, t)).collect()
+        };
+        let expected = answers(&frozen, &frozen_tombstones);
+        let (frozen_stats, frozen_counts) = (frozen.stats(), frozen.posting_counts());
+
+        // Insert (crossing the frequency cap on hot keys), retract, and
+        // compact the original, in lockstep with an index never cloned.
+        for k in later {
+            assert_eq!(
+                index.insert_keys_live(k.clone(), &tombstones),
+                never_cloned.insert_keys_live(k.clone(), &tombstones)
+            );
+        }
+        for i in (0..keys.len()).step_by(3) {
+            tombstones[i] = true;
+            assert_eq!(
+                index.retract_keys(i, &keys[i]),
+                never_cloned.retract_keys(i, &keys[i])
+            );
+        }
+        assert_eq!(
+            answers(&index, &tombstones),
+            answers(&never_cloned, &tombstones)
+        );
+        let delta = index.compact(&tombstones);
+        assert_eq!(delta, never_cloned.compact(&tombstones));
+        assert!(delta.postings_dropped > 0 && delta.buckets_freed > 0);
+        assert_eq!(
+            answers(&index, &tombstones),
+            answers(&never_cloned, &tombstones)
+        );
+        assert_eq!(index.stats(), never_cloned.stats());
+        assert_ne!(
+            answers(&index, &tombstones),
+            expected,
+            "the writes changed answers"
+        );
+
+        // The clone answers exactly as it did when it was taken.
+        assert_eq!(answers(&frozen, &frozen_tombstones), expected);
+        assert_eq!(frozen.stats(), frozen_stats);
+        assert_eq!(frozen.posting_counts(), frozen_counts);
+        assert_eq!(frozen.len(), base.len());
     }
 
     #[test]

@@ -30,46 +30,72 @@
 //!
 //! The view swap is an atomic `Arc` replacement behind a brief
 //! [`RwLock`] critical section (pointer assignment only — never held
-//! across scoring or ingest work), which makes this the seam the
-//! snapshot lifecycle slots into: [`WriteHandle::refresh`] re-fits the
-//! model on the writer ([`StreamPipeline::refit`]) and the swapped
-//! scorer rides the very same publication — concurrent resolvers see
-//! either the old model or the new one, never a torn mix.
+//! across scoring or ingest work, nor across freeing the superseded
+//! view), which makes this the seam the snapshot lifecycle slots into:
+//! [`WriteHandle::refresh`] re-fits the model on the writer
+//! ([`StreamPipeline::refit`]) and the swapped scorer rides the very
+//! same publication — concurrent resolvers see either the old model or
+//! the new one, never a torn mix.
 //!
-//! Publishing clones the live read state (store, index, scorer —
-//! O(live records + postings)). That is deliberate for this growth
-//! stage: it keeps the writer's working state completely private (no
-//! reader can alias it), and the clone cost is measured by
-//! `bench_serve` so the cheaper persistent-structure refresh the
-//! ROADMAP plans has a baseline to beat.
+//! Publishing shares the read state instead of copying it. The interner
+//! and every index bucket map are copy-on-write at chunk and part
+//! granularity, and each record's derivation sits behind its own `Arc`,
+//! so a publish copies pointers plus the tombstone flags and the
+//! union-find arrays; the next write copies only the chunks and parts
+//! it touches before changing them (see [`ReadView`]). A publish
+//! therefore costs what the writes since the last one touched, not
+//! O(live records + postings + interned tokens), and no reader can
+//! observe the writer's later state. `stream.publish.ns` times it.
 
 use crate::engine::{probe_slot, score_candidates};
 use crate::link::Side;
 use crate::pipeline::{IngestOutcome, StreamError, StreamPipeline};
 use crate::shard::{RecordKeys, ShardedIndex};
-use crate::store::EntityStore;
 use crate::{CompactionReport, RetractionReport};
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
-use zeroer_core::{ScoreBatch, SnapshotScorer};
+use zeroer_core::{ScoreBatch, SnapshotScorer, UnionFind};
 use zeroer_features::BatchFeaturizer;
 use zeroer_obs::Histogram;
 use zeroer_tabular::Record;
-use zeroer_textsim::derive::Deriver;
+use zeroer_textsim::derive::{DeriveConfig, DerivedRecord, Deriver};
+use zeroer_textsim::intern::Interner;
 
-/// An immutable, epoch-tagged view of a pipeline's read state: the
-/// entity store, the blocking indexes, and the frozen scorer. Constructed
-/// by [`StreamPipeline::read_view`] (or pinned off a
-/// [`crate::LinkPipeline`]), shared via `Arc` among [`ReadHandle`]s, and
-/// never mutated after publication.
+/// An immutable, epoch-tagged view of a pipeline's read state: exactly
+/// what a resolve reads — the interner, every record's derivation, the
+/// tombstones, the cluster union-find, the blocking indexes, and the
+/// frozen scorer. Constructed by [`StreamPipeline::read_view`] (or
+/// pinned off a [`crate::LinkPipeline`]), shared via `Arc` among
+/// [`ReadHandle`]s, and never mutated after publication.
+///
+/// A view shares its bulk with the writer instead of copying it: the
+/// interner and the index bucket maps are copy-on-write at chunk and
+/// part granularity, and the derivations are one `Arc` per record, so
+/// building a view copies pointers plus the tombstone flags and the
+/// union-find arrays (two flat `memcpy`s). The writer's later writes
+/// copy the parts they touch before changing them, so a view never
+/// observes them. The table records and the decision log never enter a
+/// view.
 pub struct ReadView {
     /// Pipeline epoch at pin time (advances on retraction/compaction).
     pub(crate) epoch: u64,
     /// Publication sequence number (0 for the initial view); lets a
     /// handle detect staleness without comparing state.
     pub(crate) version: u64,
-    pub(crate) store: EntityStore,
+    /// The store interner: the symbol space of every derivation and
+    /// index posting below.
+    pub(crate) interner: Interner,
+    /// The derivation configuration queries are derived under.
+    pub(crate) derive_config: DeriveConfig,
+    /// Schema arity resolve queries must match.
+    pub(crate) arity: usize,
+    /// Every stored record's derivation, by record index.
+    pub(crate) derived: Vec<Arc<DerivedRecord>>,
+    /// `tombstones[i]` — record `i` was retracted.
+    pub(crate) tombstones: Vec<bool>,
+    /// The cluster index, for the representative a match would join.
+    pub(crate) clusters: UnionFind,
     /// The pipeline's blocking indexes: the dedup index, or one per
     /// linkage side.
     pub(crate) indexes: Vec<ShardedIndex>,
@@ -83,6 +109,14 @@ pub struct ReadView {
     /// The `stream.score.batch_candidates` histogram handle, pinned at
     /// publication time; `None` when the pipeline's metrics are off.
     pub(crate) score_meter: Option<&'static Histogram>,
+}
+
+impl ReadView {
+    /// A deriver over this view's interner: a handle's private overlay
+    /// (see [`ReadHandle`]). The interner clone copies pointers only.
+    fn deriver(&self) -> Deriver {
+        Deriver::with_interner(self.interner.clone(), self.derive_config.clone())
+    }
 }
 
 /// What a [`ReadHandle::resolve`] query found — the read-only analogue
@@ -144,8 +178,7 @@ impl Clone for ReadHandle {
 
 impl ReadHandle {
     fn pin(view: Arc<ReadView>, shared: Option<Arc<Shared>>) -> Self {
-        let deriver =
-            Deriver::with_interner(view.store.interner().clone(), view.store.derive_config());
+        let deriver = view.deriver();
         Self {
             view,
             deriver,
@@ -173,17 +206,17 @@ impl ReadHandle {
     /// Records visible in the pinned view (tombstoned slots included,
     /// exactly like [`StreamPipeline::len`]).
     pub fn len(&self) -> usize {
-        self.view.store.len()
+        self.view.derived.len()
     }
 
     /// Whether the pinned view is empty.
     pub fn is_empty(&self) -> bool {
-        self.view.store.is_empty()
+        self.view.derived.is_empty()
     }
 
     /// Schema arity resolve queries must match.
     pub fn arity(&self) -> usize {
-        self.view.store.table().schema().arity()
+        self.view.arity
     }
 
     /// Resolves one record against the pinned view: derive → lock-free
@@ -205,15 +238,14 @@ impl ReadHandle {
         let view = &*self.view;
         assert_eq!(
             record.values.len(),
-            view.store.table().schema().arity(),
+            view.arity,
             "record arity {} does not match schema arity {}",
             record.values.len(),
-            view.store.table().schema().arity()
+            view.arity
         );
         let derived = self.deriver.derive(&record.values);
         let keys = RecordKeys::from_derived(&derived, self.deriver.interner());
-        let candidates = view.indexes[probe_slot(side)].probe_live(&keys, view.store.tombstones());
-        let store = &view.store;
+        let candidates = view.indexes[probe_slot(side)].probe_live(&keys, &view.tombstones);
         let matches = score_candidates(
             &view.featurizer,
             &view.scorer,
@@ -221,7 +253,7 @@ impl ReadHandle {
             view.threshold,
             side == Some(Side::Left),
             &candidates,
-            |c| store.derived(c),
+            |c| &*view.derived[c],
             &derived,
             &mut self.batch,
             view.batched,
@@ -230,7 +262,9 @@ impl ReadHandle {
         ResolveOutcome {
             epoch: view.epoch,
             candidates: candidates.len(),
-            cluster: matches.first().map(|&(c, _)| store.find_readonly(c)),
+            cluster: matches
+                .first()
+                .map(|&(c, _)| view.clusters.find_readonly(c)),
             matches,
         }
     }
@@ -247,10 +281,7 @@ impl ReadHandle {
         if latest.version == self.view.version {
             return false;
         }
-        self.deriver = Deriver::with_interner(
-            latest.store.interner().clone(),
-            latest.store.derive_config(),
-        );
+        self.deriver = latest.deriver();
         self.view = latest;
         true
     }
@@ -502,15 +533,14 @@ impl Drop for SplitPipeline {
 /// batch, and reply to each submitter. Returns the pipeline when the
 /// queue is closed and drained.
 ///
-/// Publishing once per drain (not once per applied op) matters:
-/// publication clones the full read state, so a drain of k mutating
-/// ops used to pay k clones for k−1 views no reader could ever pin —
-/// the writer held the drain the whole time. Read-your-writes is
-/// preserved by *deferring* the success replies of mutating ops until
-/// after the batch-end publish: a submitter never learns its write
-/// succeeded before a view containing it is pinnable. Failures (and
-/// the read-only snapshot/stats ops) reply immediately — they publish
-/// nothing.
+/// Publishing once per drain (not once per applied op) means the k−1
+/// views no reader could ever pin are never built, and a part written
+/// by several ops of one drain is copied once, not once per op.
+/// Read-your-writes is preserved by *deferring* the success replies of
+/// mutating ops until after the batch-end publish: a submitter never
+/// learns its write succeeded before a view containing it is pinnable.
+/// Failures (and the read-only snapshot/stats ops) reply immediately —
+/// they publish nothing.
 fn writer_loop(mut pipeline: StreamPipeline, shared: &Shared, threads: usize) -> StreamPipeline {
     let mut version = 0u64;
     loop {
@@ -616,8 +646,10 @@ fn writer_loop(mut pipeline: StreamPipeline, shared: &Shared, threads: usize) ->
 }
 
 /// Publishes the writer's current read state as the next view version.
-/// Only the final pointer swap holds the view lock; the clone happens
-/// before it, so readers are never blocked on the copy.
+/// Only the pointer swap holds the view lock: the view is built before
+/// it, and the superseded view is released after it — when no handle
+/// pinned it, that release frees everything only it still held, which
+/// must not stall a reader's refresh.
 fn publish(pipeline: &StreamPipeline, shared: &Shared, version: &mut u64) {
     *version += 1;
     let sw = zeroer_obs::Stopwatch::new(pipeline.options().metrics);
@@ -625,7 +657,11 @@ fn publish(pipeline: &StreamPipeline, shared: &Shared, version: &mut u64) {
     view.version = *version;
     sw.total(zeroer_obs::histogram("stream.publish.ns"));
     let next = Arc::new(view);
-    *shared.view.write().unwrap_or_else(|e| e.into_inner()) = next;
+    let superseded = {
+        let mut slot = shared.view.write().unwrap_or_else(|e| e.into_inner());
+        std::mem::replace(&mut *slot, next)
+    };
+    drop(superseded);
 }
 
 impl StreamPipeline {
@@ -635,5 +671,73 @@ impl StreamPipeline {
     /// that follow the write path's publications).
     pub fn pin_read_handle(&self) -> ReadHandle {
         ReadHandle::standalone(self.read_view())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::shard::RecordKeys;
+    use crate::{StreamOptions, StreamPipeline};
+    use zeroer_datagen::generate;
+    use zeroer_datagen::profiles::rest_fz;
+    use zeroer_tabular::Table;
+    use zeroer_textsim::cow::Sharing;
+
+    #[test]
+    fn pinned_view_shares_all_but_what_a_write_touched() {
+        let ds = generate(&rest_fz(), 0.5, 5);
+        let (table, _) = ds.dedup_table();
+        let cut = table.len() - 1;
+        let mut boot = Table::new("boot", table.schema().clone());
+        for r in &table.records()[..cut] {
+            boot.push(r.clone());
+        }
+        let (mut p, _) =
+            StreamPipeline::bootstrap(&boot, StreamOptions::default()).expect("bootstrap");
+        let pinned = p.read_view();
+        let tokens = p.store.interner().len();
+
+        p.ingest(table.records()[cut].clone());
+        let idx = p.len() - 1;
+        let keys = RecordKeys::from_derived(p.store.derived(idx), p.store.interner());
+        let key_count = keys.token_syms().count() + keys.qgram_syms().count();
+        let fresh_tokens = p.store.interner().len() - tokens;
+
+        // The write copied at most the tail chunk plus one map part per
+        // fresh token of the interner, one part per blocking key of the
+        // index, and added one derivation; everything else is still the
+        // very allocation the pinned view holds.
+        let interner = p.store.interner().sharing(&pinned.interner);
+        assert!(
+            interner.unshared() <= 1 + fresh_tokens,
+            "interner: {interner:?}, {fresh_tokens} fresh tokens"
+        );
+        let derived = Sharing::of(p.store.derived_shared(), &pinned.derived);
+        assert_eq!(
+            derived,
+            Sharing {
+                shared: idx,
+                total: idx + 1
+            }
+        );
+        let index = p.indexes[0].sharing(&pinned.indexes[0]);
+        assert!(
+            index.unshared() <= key_count,
+            "index: {index:?}, {key_count} keys"
+        );
+        assert!(
+            index.total >= 10 * key_count,
+            "the index is not partitioned"
+        );
+        assert!(interner.total >= 10 * (1 + fresh_tokens));
+
+        // A view published now shares everything with the writer.
+        let next = p.read_view();
+        assert_eq!(p.store.interner().sharing(&next.interner).unshared(), 0);
+        assert_eq!(p.indexes[0].sharing(&next.indexes[0]).unshared(), 0);
+        assert_eq!(
+            Sharing::of(p.store.derived_shared(), &next.derived).unshared(),
+            0
+        );
     }
 }

@@ -21,6 +21,7 @@
 //! *indices* are never reused, so live indices stay stable forever.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use zeroer_core::UnionFind;
 use zeroer_tabular::{Record, Schema, Table};
 use zeroer_textsim::derive::{DeriveConfig, DerivedRecord, Deriver};
@@ -50,10 +51,14 @@ fn check_block_attr(cfg: &DeriveConfig, arity: usize) {
 /// derivation — bootstrap, sequential ingest, committed parallel ingest
 /// — resolves against it, so any two records' bags are directly
 /// comparable.
+///
+/// Each derivation sits behind its own `Arc` and the interner is
+/// copy-on-write, so a published read view shares both with the store
+/// (see `crate::split::ReadView`).
 #[derive(Debug, Clone)]
 pub struct EntityStore {
     table: Table,
-    derived: Vec<DerivedRecord>,
+    derived: Vec<Arc<DerivedRecord>>,
     clusters: UnionFind,
     deriver: Deriver,
     /// `tombstones[i]` — record `i` has been retracted.
@@ -133,7 +138,7 @@ impl EntityStore {
         Self {
             tombstones: vec![false; table.len()],
             table: table.clone(),
-            derived,
+            derived: derived.into_iter().map(Arc::new).collect(),
             clusters,
             deriver: Deriver::with_interner(interner, cfg),
             retracted: 0,
@@ -179,6 +184,17 @@ impl EntityStore {
         &self.derived[idx]
     }
 
+    /// Every record's derivation, each shared by `Arc` (what a read
+    /// view pins).
+    pub(crate) fn derived_shared(&self) -> &[Arc<DerivedRecord>] {
+        &self.derived
+    }
+
+    /// The cluster union-find (what a read view pins).
+    pub(crate) fn union_find(&self) -> &UnionFind {
+        &self.clusters
+    }
+
     /// Derives a record's forms against the store interner *without*
     /// inserting it (the sequential ingest path derives, blocks, then
     /// pushes).
@@ -201,7 +217,7 @@ impl EntityStore {
     /// # Panics
     /// Panics if the record arity does not match the schema.
     pub fn push_derived(&mut self, record: Record, derived: DerivedRecord) -> usize {
-        self.derived.push(derived);
+        self.derived.push(Arc::new(derived));
         self.table.push(record);
         self.tombstones.push(false);
         self.clusters.push()
@@ -378,7 +394,7 @@ impl EntityStore {
         for (i, dead) in self.tombstones.iter().enumerate() {
             if *dead && self.derived[i].arity() > 0 {
                 out.derived_bytes_freed += self.derived[i].heap_bytes();
-                self.derived[i] = DerivedRecord::empty();
+                self.derived[i] = Arc::new(DerivedRecord::empty());
             }
         }
         out

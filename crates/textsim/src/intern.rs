@@ -23,7 +23,8 @@
 //! so it hashes token text — never symbol ids — and this cache makes
 //! that free at lookup time.
 
-use std::collections::HashMap;
+use crate::cow::{PartMap, Sharing};
+use std::sync::Arc;
 
 /// An interned token: a dense index into an [`Interner`].
 ///
@@ -69,15 +70,66 @@ pub fn fnv1a(s: &str) -> u64 {
     fnv1a_extend(FNV1A_BASIS, s.as_bytes())
 }
 
+/// Symbols per text chunk. A power of two, so a symbol splits into its
+/// chunk and slot with a shift and a mask.
+const CHUNK_BITS: u32 = 9;
+const CHUNK: usize = 1 << CHUNK_BITS;
+/// Parts of the text-hash map (see [`crate::cow::PartMap`]).
+const MAP_PARTS: usize = 256;
+
+/// One fixed-size run of symbols: each one's text and FNV-1a hash. Full
+/// chunks are never written again, so clones share them for good; each
+/// text is its own `Arc<str>`, so copying a shared tail chunk bumps
+/// reference counts instead of copying texts.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
+    texts: Vec<Arc<str>>,
+    hashes: Vec<u64>,
+}
+
+/// The symbols whose texts share one 64-bit hash: almost always exactly
+/// one, so the common case allocates nothing.
+#[derive(Debug, Clone)]
+struct Chain {
+    first: u32,
+    rest: Vec<u32>,
+}
+
+impl Chain {
+    fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+}
+
 /// Append-only token table: text → [`Sym`] with first-seen-order symbol
 /// assignment, plus the memoized FNV-1a text hash per symbol.
-#[derive(Debug, Clone, Default)]
+///
+/// ## Copy-on-write
+///
+/// Texts and hashes live in fixed-size `Arc` chunks and the text-hash
+/// map in a [`PartMap`], so `clone` copies pointers only. Interning a
+/// fresh token writes the last chunk and one map part, each copied
+/// first only if a clone still shares it. A streaming writer can thus
+/// hand an immutable interner to every reader after each write at a
+/// cost bounded by the write, and no clone ever sees a later intern.
+#[derive(Debug, Clone)]
 pub struct Interner {
-    strings: Vec<Box<str>>,
-    hashes: Vec<u64>,
-    /// text-hash → candidate symbol indices (collision chain).
-    map: HashMap<u64, Vec<u32>>,
+    chunks: Vec<Arc<Chunk>>,
+    /// text-hash → the symbols with that hash (collision chain).
+    map: PartMap<u64, Chain>,
+    len: usize,
     bytes: usize,
+}
+
+impl Default for Interner {
+    fn default() -> Self {
+        Self {
+            chunks: Vec::new(),
+            map: PartMap::new(MAP_PARTS),
+            len: 0,
+            bytes: 0,
+        }
+    }
 }
 
 impl Interner {
@@ -86,34 +138,54 @@ impl Interner {
         Self::default()
     }
 
+    #[inline]
+    fn chunk(&self, i: u32) -> &Chunk {
+        &self.chunks[(i >> CHUNK_BITS) as usize]
+    }
+
+    #[inline]
+    fn text(&self, i: u32) -> &str {
+        &self.chunk(i).texts[i as usize & (CHUNK - 1)]
+    }
+
+    fn find(&self, h: u64, s: &str) -> Option<Sym> {
+        let chain = self.map.get(&h)?;
+        chain.ids().find(|&i| self.text(i) == s).map(Sym)
+    }
+
     /// Interns `s`, returning its symbol (existing or freshly assigned).
     ///
     /// # Panics
     /// Panics if more than 2³¹ distinct tokens are interned.
     pub fn intern(&mut self, s: &str) -> Sym {
         let h = fnv1a(s);
-        if let Some(ids) = self.map.get(&h) {
-            for &i in ids {
-                if &*self.strings[i as usize] == s {
-                    return Sym(i);
-                }
-            }
+        if let Some(sym) = self.find(h, s) {
+            return sym;
         }
-        let id = self.strings.len() as u32;
+        let id = self.len as u32;
         assert!(id < LOCAL_BIT, "interner overflow: 2^31 distinct tokens");
-        self.strings.push(s.into());
-        self.hashes.push(h);
+        if self.len.is_multiple_of(CHUNK) {
+            self.chunks.push(Arc::default());
+        }
+        let chunk = Arc::make_mut(self.chunks.last_mut().expect("pushed above"));
+        chunk.texts.push(s.into());
+        chunk.hashes.push(h);
+        self.len += 1;
         self.bytes += s.len();
-        self.map.entry(h).or_default().push(id);
+        if let Some(chain) = self.map.get_mut(&h) {
+            chain.rest.push(id);
+        } else {
+            self.map.get_or_insert_with(h, || Chain {
+                first: id,
+                rest: Vec::new(),
+            });
+        }
         Sym(id)
     }
 
     /// Looks up an already-interned token without inserting.
     pub fn get(&self, s: &str) -> Option<Sym> {
-        let ids = self.map.get(&fnv1a(s))?;
-        ids.iter()
-            .find(|&&i| &*self.strings[i as usize] == s)
-            .map(|&i| Sym(i))
+        self.find(fnv1a(s), s)
     }
 
     /// The text of a symbol.
@@ -122,28 +194,37 @@ impl Interner {
     /// Panics on a symbol this interner did not produce (including
     /// uncommitted scratch-local symbols).
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.strings[sym.0 as usize]
+        self.text(sym.0)
     }
 
     /// The memoized FNV-1a hash of the symbol's text
     /// (`== fnv1a(self.resolve(sym))`).
     pub fn text_hash(&self, sym: Sym) -> u64 {
-        self.hashes[sym.0 as usize]
+        self.chunk(sym.0).hashes[sym.index() & (CHUNK - 1)]
     }
 
     /// Number of distinct interned tokens.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.len
     }
 
     /// Whether nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.len == 0
     }
 
     /// Total bytes of distinct token text stored (each token once).
     pub fn bytes(&self) -> usize {
         self.bytes
+    }
+
+    /// How much of this interner's storage (text chunks and map parts)
+    /// `other` shares physically — all of it right after a clone, all
+    /// but what later interns touched afterwards.
+    pub fn sharing(&self, other: &Interner) -> Sharing {
+        let mut out = Sharing::of(&self.chunks, &other.chunks);
+        out.absorb(self.map.sharing(&other.map));
+        out
     }
 }
 
@@ -215,5 +296,54 @@ mod tests {
         for i in 0..a.len() {
             assert_eq!(a.resolve(Sym(i as u32)), b.resolve(Sym(i as u32)));
         }
+    }
+
+    fn token(i: usize) -> String {
+        format!("tok{i}")
+    }
+
+    #[test]
+    fn intern_clone_is_isolated_across_chunks_and_parts() {
+        // Start mid-chunk so the writes after the clone run into the
+        // shared tail chunk, then across several fresh chunks and every
+        // map part.
+        let before = CHUNK + CHUNK / 2;
+        let after = 3 * CHUNK;
+        let mut it = Interner::new();
+        let mut fresh = Interner::new();
+        for i in 0..before {
+            it.intern(&token(i));
+            fresh.intern(&token(i));
+        }
+        let frozen = it.clone();
+        assert_eq!(it.sharing(&frozen).unshared(), 0, "a clone copies nothing");
+        for i in (0..before + after)
+            .rev()
+            .step_by(3)
+            .chain(0..before + after)
+        {
+            assert_eq!(it.intern(&token(i)), fresh.intern(&token(i)), "token {i}");
+        }
+        assert_eq!(it.len(), fresh.len());
+        assert_eq!(it.bytes(), fresh.bytes());
+        for i in 0..fresh.len() {
+            let s = Sym(i as u32);
+            assert_eq!(it.resolve(s), fresh.resolve(s));
+            assert_eq!(it.text_hash(s), fresh.text_hash(s));
+            assert_eq!(it.get(fresh.resolve(s)), Some(s));
+        }
+        // The clone still answers exactly as at clone time.
+        assert_eq!(frozen.len(), before);
+        for i in 0..before {
+            let s = Sym(i as u32);
+            assert_eq!(frozen.resolve(s), token(i));
+            assert_eq!(frozen.text_hash(s), fnv1a(&token(i)));
+            assert_eq!(frozen.get(&token(i)), Some(s));
+        }
+        for i in before..before + after {
+            assert_eq!(frozen.get(&token(i)), None, "token {i} is not in the clone");
+        }
+        // Full chunks stay shared: only the tail the clone had is copied.
+        assert_eq!(Sharing::of(&it.chunks, &frozen.chunks).shared, 1);
     }
 }

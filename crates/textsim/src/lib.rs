@@ -28,6 +28,7 @@
 //! non-empty string are maximally dissimilar.
 
 pub mod align;
+pub mod cow;
 pub mod derive;
 pub mod edit;
 pub mod intern;
